@@ -28,7 +28,7 @@
 //! were regenerated once in PR 5 when ensemble replica seeds moved from
 //! additive to splitmix derivation.
 
-use wsd_bench::policies::policy_cache_dir;
+use wsd_bench::policies::policy_registry_dir;
 use wsd_core::engine::Ensemble;
 use wsd_core::{Algorithm, PolicyRegistry, SessionBuilder};
 use wsd_graph::{ExactCounter, Pattern};
@@ -150,7 +150,7 @@ fn main() {
             truths[1].1,
             truths[2].1
         );
-        // Standalone cells: single-query sessions (≡ legacy counters).
+        // Standalone cells: single-query sessions.
         // The weighted triangle estimates are kept for the session
         // cells' fused-query bit-equality assert — same alg, stream,
         // capacity and seeds, so rerunning them would be pure waste.
@@ -234,7 +234,7 @@ fn main() {
         // Learned cells: every registry artifact trained for this
         // stream's scenario family, WSD-L vs WSD-H at equal capacity
         // and seeds. Enforced on the LEARNED_GATES cells.
-        let registry = PolicyRegistry::open(policy_cache_dir()).expect("registry dir scans");
+        let registry = PolicyRegistry::open(policy_registry_dir()).expect("registry dir scans");
         for artifact in registry.iter().filter(|a| a.meta.scenario == name) {
             let pattern = artifact.meta.pattern;
             let truth = truth_for(pattern);

@@ -9,8 +9,8 @@ use std::sync::{Arc, Mutex};
 use wsd_bench::policies::{capacity_for, scenario_by_kind, train_or_load};
 use wsd_bench::runner::Workload;
 use wsd_bench::{Args, Table};
-use wsd_core::algorithms::WsdCounter;
-use wsd_core::{SubgraphCounter, TemporalPooling};
+use wsd_core::algorithms::WsdSampler;
+use wsd_core::{MassKernel, StreamSession, TemporalPooling};
 use wsd_graph::{Adjacency, Edge, FxHashMap, Op, Pattern};
 use wsd_stream::dataset::by_name;
 
@@ -36,7 +36,7 @@ fn main() {
     let acc: Arc<Mutex<FxHashMap<Edge, (f64, u64)>>> = Arc::new(Mutex::new(FxHashMap::default()));
     for rep in 0..args.reps as u64 {
         eprintln!("weight-collection rep {rep}…");
-        let mut counter = WsdCounter::new(
+        let mut sampler = WsdSampler::new(
             pattern,
             capacity,
             Box::new(policy.clone()),
@@ -44,13 +44,15 @@ fn main() {
             args.seed + rep,
         );
         let acc2 = acc.clone();
-        counter.set_observer(Box::new(move |e, _state, w| {
+        sampler.set_observer(Box::new(move |e, _state, w| {
             let mut m = acc2.lock().unwrap();
             let entry = m.entry(e).or_insert((0.0, 0));
             entry.0 += w;
             entry.1 += 1;
         }));
-        counter.process_all(&workload.stream);
+        let mut session =
+            StreamSession::from_parts(Box::new(sampler), &[pattern], MassKernel::build_default());
+        session.process_all(&workload.stream);
     }
     // Triangles containing each edge in the final graph.
     let mut final_graph = Adjacency::new();

@@ -376,7 +376,7 @@ fn main() {
     // so the spread between these cells is the insert-path cost of
     // serving learned weights.
     {
-        let registry = wsd_core::PolicyRegistry::open(wsd_bench::policies::policy_cache_dir())
+        let registry = wsd_core::PolicyRegistry::open(wsd_bench::policies::policy_registry_dir())
             .expect("weight-grid: open checked-in policy registry");
         let weight_cells = [
             ("weight-grid-ba", "ba-light", &grids[0]),

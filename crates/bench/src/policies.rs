@@ -3,24 +3,35 @@
 //! Every experiment that includes a WSD-L column needs a policy trained
 //! on the matching training graph (Table I pairing). Training is cheap
 //! at this scale but not free, so trained policies are cached as
-//! `artifacts/policies/<key>.policy` (the text format of
-//! `wsd_rl::policy_io`) keyed by everything that affects the result.
+//! `.wsdp` artifacts under `artifacts/policy-cache/<key>.wsdp`, keyed by
+//! everything that affects the result. The cache has a directory of its
+//! own: `artifacts/policies/` is the checked-in policy registry, and a
+//! cache file there would be served by its lookups.
 
 use std::path::PathBuf;
 use std::time::Duration;
-use wsd_core::{LinearPolicy, TemporalPooling};
+use wsd_core::{LinearPolicy, PolicyArtifact, PolicyMeta, TemporalPooling};
 use wsd_graph::Pattern;
 use wsd_rl::trainer::{train, TrainerConfig};
 use wsd_stream::{DatasetSpec, Scenario};
 
-/// Where cached policies live: `<repo>/artifacts/policies`.
-pub fn policy_cache_dir() -> PathBuf {
+fn artifacts_dir() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest
         .parent()
         .and_then(|p| p.parent())
-        .map(|root| root.join("artifacts").join("policies"))
+        .map(|root| root.join("artifacts"))
         .expect("bench crate lives two levels below the workspace root")
+}
+
+/// The checked-in `wsd-train` policy registry: `<repo>/artifacts/policies`.
+pub fn policy_registry_dir() -> PathBuf {
+    artifacts_dir().join("policies")
+}
+
+/// Where [`train_or_load`] caches policies: `<repo>/artifacts/policy-cache`.
+pub fn policy_cache_dir() -> PathBuf {
+    artifacts_dir().join("policy-cache")
 }
 
 fn sanitize(name: &str) -> String {
@@ -119,11 +130,11 @@ pub fn train_custom(
         pooling.name()
     );
     let dir = policy_cache_dir();
-    let path = dir.join(format!("{key}.policy"));
+    let path = dir.join(format!("{key}.wsdp"));
     if !no_cache {
-        if let Ok(policy) = wsd_rl::load_policy(&path) {
-            if policy.dim() == pattern.num_edges() + 3 {
-                return PolicyOutcome { policy, train_time: None };
+        if let Ok(artifact) = PolicyArtifact::load(&path) {
+            if artifact.meta.pattern == pattern {
+                return PolicyOutcome { policy: artifact.policy, train_time: None };
             }
         }
     }
@@ -134,11 +145,21 @@ pub fn train_custom(
     cfg.seed = seed;
     cfg.pooling = pooling;
     let report = train(&edges, scenario, &cfg);
+    let artifact = PolicyArtifact {
+        meta: PolicyMeta {
+            pattern,
+            scenario: key,
+            capacity: capacity as u64,
+            train_seed: seed,
+            iterations: iterations as u64,
+        },
+        policy: report.policy,
+    };
     std::fs::create_dir_all(&dir).ok();
-    if let Err(e) = wsd_rl::save_policy(&path, &report.policy) {
+    if let Err(e) = artifact.save(&path) {
         eprintln!("warning: could not cache policy at {}: {e}", path.display());
     }
-    PolicyOutcome { policy: report.policy, train_time: Some(report.wall_time) }
+    PolicyOutcome { policy: artifact.policy, train_time: Some(report.wall_time) }
 }
 
 /// The reservoir budget used in experiments: the paper's *relative*

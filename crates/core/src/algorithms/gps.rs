@@ -14,12 +14,9 @@
 //! for those.
 //!
 //! [`GpsSampler`] is the session-facing sampling layer (N pattern
-//! queries off one reservoir, see [`crate::session`]); [`GpsCounter`]
-//! is the legacy one-pattern façade, bit-identical to the pre-session
-//! implementation.
+//! queries off one reservoir, see [`crate::session`]).
 
 use crate::algorithms::WeightMode;
-use crate::counter::SubgraphCounter;
 use crate::estimator::MassKernel;
 use crate::rank::{draw_u, rank};
 use crate::reservoir::IndexedMinHeap;
@@ -312,82 +309,10 @@ impl EdgeSampler for GpsSampler {
     }
 }
 
-/// The legacy one-pattern GPS counter: a [`GpsSampler`] plus a single
-/// [`PatternQuery`], bit-identical to the pre-session implementation.
-pub struct GpsCounter {
-    sampler: GpsSampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl GpsCounter {
-    /// Creates a GPS counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < |H|` or the pattern is invalid.
-    pub fn new(pattern: Pattern, capacity: usize, weight_fn: Box<dyn WeightFn>, seed: u64) -> Self {
-        Self {
-            sampler: GpsSampler::new(pattern, capacity, weight_fn, seed),
-            query: PatternQuery::new(pattern, MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    /// Overrides the display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.sampler = self.sampler.with_name(name);
-        self
-    }
-
-    /// Selects the estimator mass kernel (see [`MassKernel`]); estimates
-    /// are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.sampler = self.sampler.with_mass_kernel(kernel);
-        self.query.mass_kernel = kernel;
-        self
-    }
-
-    /// The current threshold `z = r_{M+1}` — exposed for tests.
-    pub fn threshold(&self) -> f64 {
-        self.sampler.threshold()
-    }
-}
-
-impl SubgraphCounter for GpsCounter {
-    /// # Panics
-    ///
-    /// Panics on deletion events — GPS is insertion-only.
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::SingleQuery;
     use crate::weight::{HeuristicWeight, UniformWeight};
 
     fn ins(a: u64, b: u64) -> EdgeEvent {
@@ -396,7 +321,10 @@ mod tests {
 
     #[test]
     fn exact_when_not_full() {
-        let mut c = GpsCounter::new(Pattern::Triangle, 64, Box::new(HeuristicWeight), 1);
+        let mut c = SingleQuery::new(
+            Pattern::Triangle,
+            GpsSampler::new(Pattern::Triangle, 64, Box::new(HeuristicWeight), 1),
+        );
         for ev in [ins(1, 2), ins(2, 3), ins(1, 3), ins(1, 4), ins(3, 4)] {
             c.process(ev);
         }
@@ -407,7 +335,10 @@ mod tests {
 
     #[test]
     fn threshold_grows_monotonically() {
-        let mut c = GpsCounter::new(Pattern::Triangle, 8, Box::new(UniformWeight), 2);
+        let mut c = SingleQuery::new(
+            Pattern::Triangle,
+            GpsSampler::new(Pattern::Triangle, 8, Box::new(UniformWeight), 2),
+        );
         let mut last = 0.0;
         for i in 0..100u64 {
             c.process(ins(i, i + 1));
@@ -422,15 +353,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot process deletion")]
     fn deletion_panics() {
-        let mut c = GpsCounter::new(Pattern::Triangle, 8, Box::new(UniformWeight), 3);
+        let mut c = SingleQuery::new(
+            Pattern::Triangle,
+            GpsSampler::new(Pattern::Triangle, 8, Box::new(UniformWeight), 3),
+        );
         c.process(ins(1, 2));
         c.process(EdgeEvent::delete(Edge::new(1, 2)));
     }
 
     #[test]
     fn name_and_pattern() {
-        let c = GpsCounter::new(Pattern::Wedge, 8, Box::new(UniformWeight), 4);
+        let c = SingleQuery::new(
+            Pattern::Wedge,
+            GpsSampler::new(Pattern::Wedge, 8, Box::new(UniformWeight), 4),
+        );
         assert_eq!(c.name(), "GPS");
-        assert_eq!(c.pattern(), Pattern::Wedge);
+        assert_eq!(c.query.pattern(), Pattern::Wedge);
     }
 }

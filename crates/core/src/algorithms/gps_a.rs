@@ -19,12 +19,9 @@
 //! no edge-keyed hashing anywhere on the event path.
 //!
 //! [`GpsASampler`] is the session-facing sampling layer (N pattern
-//! queries off one reservoir, see [`crate::session`]); [`GpsACounter`]
-//! is the legacy one-pattern façade, bit-identical to the pre-session
-//! implementation.
+//! queries off one reservoir, see [`crate::session`]).
 
 use crate::algorithms::WeightMode;
-use crate::counter::SubgraphCounter;
 use crate::estimator::{layered_weighted_mass, weighted_mass, MassKernel};
 use crate::rank::{draw_u, rank};
 use crate::reservoir::IndexedMinHeap;
@@ -449,84 +446,10 @@ impl EdgeSampler for GpsASampler {
     }
 }
 
-/// The legacy one-pattern GPS-A counter: a [`GpsASampler`] plus a single
-/// [`PatternQuery`], bit-identical to the pre-session implementation.
-pub struct GpsACounter {
-    sampler: GpsASampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl GpsACounter {
-    /// Creates a GPS-A counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < |H|` or the pattern is invalid.
-    pub fn new(pattern: Pattern, capacity: usize, weight_fn: Box<dyn WeightFn>, seed: u64) -> Self {
-        Self {
-            sampler: GpsASampler::new(pattern, capacity, weight_fn, seed),
-            query: PatternQuery::new(pattern, MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    /// Overrides the display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.sampler = self.sampler.with_name(name);
-        self
-    }
-
-    /// Selects the estimator mass kernel (see [`MassKernel`]); estimates
-    /// are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.sampler = self.sampler.with_mass_kernel(kernel);
-        self.query.mass_kernel = kernel;
-        self
-    }
-
-    /// Number of tagged ghosts currently wasting reservoir budget.
-    pub fn tagged_edges(&self) -> usize {
-        self.sampler.tagged_edges()
-    }
-
-    /// Number of live (estimation-visible) sampled edges.
-    pub fn live_edges(&self) -> usize {
-        self.sampler.live_edges()
-    }
-}
-
-impl SubgraphCounter for GpsACounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::SingleQuery;
     use crate::weight::{HeuristicWeight, UniformWeight};
 
     fn ins(a: u64, b: u64) -> EdgeEvent {
@@ -539,7 +462,10 @@ mod tests {
 
     #[test]
     fn exact_when_not_full() {
-        let mut c = GpsACounter::new(Pattern::Triangle, 64, Box::new(HeuristicWeight), 1);
+        let mut c = SingleQuery::new(
+            Pattern::Triangle,
+            GpsASampler::new(Pattern::Triangle, 64, Box::new(HeuristicWeight), 1),
+        );
         for ev in [ins(1, 2), ins(2, 3), ins(1, 3), del(2, 3), ins(2, 3)] {
             c.process(ev);
         }
@@ -549,7 +475,10 @@ mod tests {
 
     #[test]
     fn deletion_tags_but_keeps_budget() {
-        let mut c = GpsACounter::new(Pattern::Triangle, 4, Box::new(UniformWeight), 2);
+        let mut c = SingleQuery::new(
+            Pattern::Triangle,
+            GpsASampler::new(Pattern::Triangle, 4, Box::new(UniformWeight), 2),
+        );
         for i in 0..4u64 {
             c.process(ins(10 * i, 10 * i + 1));
         }
@@ -564,7 +493,10 @@ mod tests {
 
     #[test]
     fn ghost_coexists_with_reinsertion() {
-        let mut c = GpsACounter::new(Pattern::Triangle, 8, Box::new(UniformWeight), 3);
+        let mut c = SingleQuery::new(
+            Pattern::Triangle,
+            GpsASampler::new(Pattern::Triangle, 8, Box::new(UniformWeight), 3),
+        );
         c.process(ins(1, 2));
         c.process(del(1, 2));
         assert_eq!(c.tagged_edges(), 1);
@@ -581,7 +513,10 @@ mod tests {
 
     #[test]
     fn ghosts_are_evictable() {
-        let mut c = GpsACounter::new(Pattern::Triangle, 3, Box::new(UniformWeight), 4);
+        let mut c = SingleQuery::new(
+            Pattern::Triangle,
+            GpsASampler::new(Pattern::Triangle, 3, Box::new(UniformWeight), 4),
+        );
         for i in 0..3u64 {
             c.process(ins(10 * i, 10 * i + 1));
         }
@@ -603,7 +538,10 @@ mod tests {
     fn item_ids_stay_bounded_by_capacity() {
         // Heavy churn far past capacity: recycled item IDs must keep the
         // dense bookkeeping no larger than the queue.
-        let mut c = GpsACounter::new(Pattern::Triangle, 8, Box::new(UniformWeight), 6);
+        let mut c = SingleQuery::new(
+            Pattern::Triangle,
+            GpsASampler::new(Pattern::Triangle, 8, Box::new(UniformWeight), 6),
+        );
         for round in 0..50u64 {
             for i in 0..8u64 {
                 c.process(ins(100 * round + 2 * i, 100 * round + 2 * i + 1));
@@ -618,7 +556,10 @@ mod tests {
 
     #[test]
     fn capacity_is_respected() {
-        let mut c = GpsACounter::new(Pattern::Wedge, 6, Box::new(UniformWeight), 5);
+        let mut c = SingleQuery::new(
+            Pattern::Wedge,
+            GpsASampler::new(Pattern::Wedge, 6, Box::new(UniformWeight), 5),
+        );
         for i in 0..100u64 {
             c.process(ins(i, i + 1));
             assert!(c.stored_edges() <= 6);

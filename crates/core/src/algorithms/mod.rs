@@ -8,12 +8,12 @@ pub mod triest;
 pub mod wrs;
 pub mod wsd;
 
-pub use gps::{GpsCounter, GpsSampler};
-pub use gps_a::{GpsACounter, GpsASampler};
-pub use thinkd::{ThinkDCounter, ThinkDSampler};
-pub use triest::{TriestCounter, TriestSampler};
-pub use wrs::{WrsCounter, WrsSampler};
-pub use wsd::{WsdCounter, WsdSampler};
+pub use gps::GpsSampler;
+pub use gps_a::GpsASampler;
+pub use thinkd::ThinkDSampler;
+pub use triest::TriestSampler;
+pub use wrs::WrsSampler;
+pub use wsd::WsdSampler;
 
 /// How a weighted sampler observes the state on an insertion — resolved
 /// once per configuration change (construction / observer install), so
@@ -112,8 +112,8 @@ pub(crate) fn observe_insertion(
 /// The sampler's edge weight is observed on its fixed *weight pattern*:
 /// when an attached query counts that same pattern (`fused`), the
 /// weight observation rides the query's own mass pass — exactly the
-/// legacy single-counter path of [`observe_insertion`], which is what
-/// keeps one-query sessions bit-identical to the pre-session counters.
+/// single-query path of [`observe_insertion`], which is what keeps
+/// one-query sessions on the golden values.
 /// Otherwise the weight runs on a sampler-owned pass (or, for weights
 /// that ignore the instance count entirely, on no pass at all — the
 /// trajectory is the same either way). Every remaining query then adds
@@ -369,3 +369,46 @@ macro_rules! rp_fill_batch {
 }
 
 pub(crate) use {predrawn_batch, rp_fill_batch};
+
+/// Test harness: a concrete sampler driven with one attached query, the
+/// way a one-query [`crate::StreamSession`] drives it, with the sampler
+/// left reachable (through `Deref`) for white-box assertions.
+#[cfg(test)]
+pub(crate) struct SingleQuery<S> {
+    pub(crate) sampler: S,
+    pub(crate) query: crate::session::PatternQuery,
+    scratch: wsd_graph::patterns::EnumScratch,
+}
+
+#[cfg(test)]
+impl<S: crate::session::EdgeSampler> SingleQuery<S> {
+    /// Attaches a `pattern` query to `sampler`, with the checks
+    /// [`crate::StreamSession::attach`] makes.
+    pub(crate) fn new(pattern: wsd_graph::Pattern, sampler: S) -> Self {
+        sampler.assert_capacity_for(pattern);
+        let query = crate::session::PatternQuery::new(
+            pattern,
+            crate::estimator::MassKernel::build_default(),
+        );
+        Self { sampler, query, scratch: Default::default() }
+    }
+
+    pub(crate) fn process(&mut self, ev: wsd_graph::EdgeEvent) {
+        let ctx =
+            crate::session::QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
+        self.sampler.process(ev, ctx);
+    }
+
+    pub(crate) fn estimate(&self) -> f64 {
+        self.sampler.query_estimate(&self.query)
+    }
+}
+
+#[cfg(test)]
+impl<S> std::ops::Deref for SingleQuery<S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        &self.sampler
+    }
+}

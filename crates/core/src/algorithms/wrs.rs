@@ -41,10 +41,8 @@
 //!
 //! The room/reservoir machinery never looks at any pattern, so one
 //! [`WrsSampler`] serves any number of attached queries off the same
-//! split sample (see [`crate::session`]); [`WrsCounter`] is the legacy
-//! one-pattern façade.
+//! split sample (see [`crate::session`]).
 
-use crate::counter::SubgraphCounter;
 use crate::estimator::MassKernel;
 use crate::reservoir::{Admission, RpReservoir};
 use crate::session::{EdgeSampler, LayeredPlan, PatternQuery, QueryCtx};
@@ -633,84 +631,10 @@ impl EdgeSampler for WrsSampler {
     }
 }
 
-/// The legacy one-pattern WRS counter: a [`WrsSampler`] plus a single
-/// [`PatternQuery`], bit-identical to the pre-session implementation.
-pub struct WrsCounter {
-    sampler: WrsSampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl WrsCounter {
-    /// Creates a WRS counter with total budget `M` and the default
-    /// waiting-room fraction.
-    pub fn new(pattern: Pattern, capacity: usize, seed: u64) -> Self {
-        Self::with_fraction(pattern, capacity, DEFAULT_WAITING_ROOM_FRACTION, seed)
-    }
-
-    /// Creates a WRS counter with an explicit waiting-room fraction in
-    /// `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fraction leaves either side of the budget empty, if
-    /// the reservoir part is smaller than `|H|`, or the pattern is
-    /// invalid.
-    pub fn with_fraction(pattern: Pattern, capacity: usize, fraction: f64, seed: u64) -> Self {
-        pattern.validate().expect("invalid pattern");
-        let sampler = WrsSampler::with_fraction(capacity, fraction, seed);
-        sampler.assert_capacity_for(pattern);
-        Self {
-            sampler,
-            query: PatternQuery::new(pattern, crate::estimator::MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    /// Selects the estimator accumulation kernel (see [`MassKernel`]);
-    /// estimates are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.query.mass_kernel = kernel;
-        self
-    }
-
-    /// Current waiting-room occupancy — exposed for tests.
-    pub fn waiting_room_len(&self) -> usize {
-        self.sampler.waiting_room_len()
-    }
-}
-
-impl SubgraphCounter for WrsCounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::SingleQuery;
 
     fn ins(a: u64, b: u64) -> EdgeEvent {
         EdgeEvent::insert(Edge::new(a, b))
@@ -721,14 +645,14 @@ mod tests {
     }
 
     /// True if a live edge is classified as a waiting-room member.
-    fn in_room(c: &WrsCounter, e: Edge) -> bool {
+    fn in_room(c: &SingleQuery<WrsSampler>, e: Edge) -> bool {
         c.sampler.adj.edge_id(e).is_some_and(|id| c.sampler.in_room_id(id))
     }
 
     /// Checks the stamp/horizon classification invariants: every live
     /// edge is in the room XOR in the reservoir sample, and the room
     /// counter matches the classification.
-    fn assert_flags_coherent(c: &WrsCounter) {
+    fn assert_flags_coherent(c: &SingleQuery<WrsSampler>) {
         let s = &c.sampler;
         let mut roomed = 0;
         for e in s.adj.edges().collect::<Vec<_>>() {
@@ -746,7 +670,7 @@ mod tests {
 
     #[test]
     fn exact_when_everything_fits() {
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 100, 0.2, 1);
+        let mut c = SingleQuery::new(Pattern::Triangle, WrsSampler::with_fraction(100, 0.2, 1));
         for ev in [ins(1, 2), ins(2, 3), ins(1, 3), ins(3, 4), ins(2, 4), del(2, 3)] {
             c.process(ev);
         }
@@ -758,7 +682,7 @@ mod tests {
 
     #[test]
     fn waiting_room_holds_most_recent() {
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 20, 0.25, 2);
+        let mut c = SingleQuery::new(Pattern::Triangle, WrsSampler::with_fraction(20, 0.25, 2));
         // Room capacity = 5.
         for i in 0..50u64 {
             c.process(ins(i, i + 1));
@@ -774,7 +698,7 @@ mod tests {
 
     #[test]
     fn deletion_inside_waiting_room() {
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 20, 0.25, 3);
+        let mut c = SingleQuery::new(Pattern::Triangle, WrsSampler::with_fraction(20, 0.25, 3));
         for i in 0..5u64 {
             c.process(ins(i, i + 1));
         }
@@ -793,7 +717,7 @@ mod tests {
     fn room_flags_track_churn() {
         // Drive edges through room → reservoir → deletion with recycled
         // IDs in play; the dense mirror must never drift.
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 16, 0.25, 9);
+        let mut c = SingleQuery::new(Pattern::Triangle, WrsSampler::with_fraction(16, 0.25, 9));
         for round in 0..30u64 {
             for i in 0..6u64 {
                 c.process(ins(7 * round + i, 7 * round + i + 1));
@@ -810,7 +734,7 @@ mod tests {
     #[test]
     fn readmission_spills_at_ghost_position() {
         // Room capacity 2 (8 × 0.25).
-        let mut c = WrsCounter::with_fraction(Pattern::Triangle, 8, 0.25, 7);
+        let mut c = SingleQuery::new(Pattern::Triangle, WrsSampler::with_fraction(8, 0.25, 7));
         c.process(ins(1, 2)); // X enters; FIFO [X]
         c.process(del(1, 2)); // X leaves the room map; FIFO ghost remains
         c.process(ins(3, 4)); // A; FIFO [X?, A]
@@ -828,7 +752,7 @@ mod tests {
 
     #[test]
     fn budget_split_respected() {
-        let c = WrsCounter::with_fraction(Pattern::Triangle, 40, 0.1, 4);
+        let c = SingleQuery::new(Pattern::Triangle, WrsSampler::with_fraction(40, 0.1, 4));
         assert_eq!(c.sampler.room_capacity(), 4);
         assert_eq!(c.sampler.reservoir_capacity(), 36);
         assert_eq!(c.name(), "WRS");
@@ -837,6 +761,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "too small")]
     fn tiny_budget_panics() {
-        let _ = WrsCounter::with_fraction(Pattern::Triangle, 1, 0.9, 5);
+        let _ = SingleQuery::new(Pattern::Triangle, WrsSampler::with_fraction(1, 0.9, 5));
     }
 }

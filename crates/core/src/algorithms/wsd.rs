@@ -39,12 +39,9 @@
 //! identity holds per *edge*, not per pattern, every query's estimator
 //! is unbiased off the same reservoir; the weight function (which reads
 //! the completed-instance count of the sampler's fixed *weight
-//! pattern*) only shapes the variance. [`WsdCounter`] is the legacy
-//! one-pattern façade: a sampler plus a single query, bit-identical to
-//! the pre-session implementation.
+//! pattern*) only shapes the variance.
 
 use crate::algorithms::WeightMode;
-use crate::counter::SubgraphCounter;
 use crate::estimator::{layered_weighted_mass, weighted_mass, MassKernel};
 use crate::rank::{draw_u, rank};
 use crate::reservoir::IndexedMinHeap;
@@ -443,108 +440,21 @@ impl EdgeSampler for WsdSampler {
     }
 }
 
-/// The legacy one-pattern WSD counter: a [`WsdSampler`] plus a single
-/// [`PatternQuery`] for the same pattern, processed in lockstep —
-/// bit-identical to the pre-session implementation by construction.
-pub struct WsdCounter {
-    sampler: WsdSampler,
-    query: PatternQuery,
-    scratch: EnumScratch,
-}
-
-impl WsdCounter {
-    /// Creates a WSD counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity < |H|` (the unbiasedness theorems require
-    /// `M ≥ |H|`) or the pattern is invalid.
-    pub fn new(
-        pattern: Pattern,
-        capacity: usize,
-        weight_fn: Box<dyn WeightFn>,
-        pooling: TemporalPooling,
-        seed: u64,
-    ) -> Self {
-        Self {
-            sampler: WsdSampler::new(pattern, capacity, weight_fn, pooling, seed),
-            query: PatternQuery::new(pattern, MassKernel::build_default()),
-            scratch: EnumScratch::default(),
-        }
-    }
-
-    /// Overrides the display name (e.g. to distinguish pooling ablations).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.sampler = self.sampler.with_name(name);
-        self
-    }
-
-    /// Selects the estimator mass kernel (see [`MassKernel`]); estimates
-    /// are bit-identical either way.
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.sampler = self.sampler.with_mass_kernel(kernel);
-        self.query.mass_kernel = kernel;
-        self
-    }
-
-    /// Installs a per-insertion observer `(edge, state, weight)`; see
-    /// [`WsdSampler::set_observer`].
-    pub fn set_observer(&mut self, f: InsertionObserver) {
-        self.sampler.set_observer(f);
-    }
-
-    /// Current thresholds `(τp, τq)` — exposed for white-box tests.
-    pub fn thresholds(&self) -> (f64, f64) {
-        self.sampler.thresholds()
-    }
-
-    /// Whether an edge currently sits in the reservoir.
-    pub fn sampled(&self, e: Edge) -> bool {
-        self.sampler.sampled(e)
-    }
-}
-
-impl SubgraphCounter for WsdCounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process(ev, ctx);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        let ctx = QueryCtx::new(std::slice::from_mut(&mut self.query), &mut self.scratch);
-        self.sampler.process_batch(batch, ctx);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.sampler.query_estimate(&self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.query.pattern()
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.sampler.stored_edges()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::SingleQuery;
     use crate::weight::{HeuristicWeight, UniformWeight};
 
-    fn wsd(capacity: usize, seed: u64) -> WsdCounter {
-        WsdCounter::new(
+    fn wsd(capacity: usize, seed: u64) -> SingleQuery<WsdSampler> {
+        let sampler = WsdSampler::new(
             Pattern::Triangle,
             capacity,
             Box::new(UniformWeight),
             TemporalPooling::Max,
             seed,
-        )
+        );
+        SingleQuery::new(Pattern::Triangle, sampler)
     }
 
     fn tri(a: u64, b: u64) -> EdgeEvent {
@@ -628,17 +538,18 @@ mod tests {
         use std::sync::{Arc, Mutex};
         let log: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
         let log2 = log.clone();
-        let mut c = WsdCounter::new(
+        let mut sampler = WsdSampler::new(
             Pattern::Triangle,
             16,
             Box::new(HeuristicWeight),
             TemporalPooling::Max,
             5,
         );
-        c.set_observer(Box::new(move |e, s, w| {
+        sampler.set_observer(Box::new(move |e, s, w| {
             assert!(e.u() < e.v());
             log2.lock().unwrap().push((s.dim(), w));
         }));
+        let mut c = SingleQuery::new(Pattern::Triangle, sampler);
         c.process(tri(1, 2));
         c.process(tri(2, 3));
         c.process(tri(1, 3));
@@ -676,7 +587,7 @@ mod tests {
     #[test]
     fn heuristic_name_propagates() {
         let c =
-            WsdCounter::new(Pattern::Wedge, 8, Box::new(HeuristicWeight), TemporalPooling::Max, 1);
+            WsdSampler::new(Pattern::Wedge, 8, Box::new(HeuristicWeight), TemporalPooling::Max, 1);
         assert_eq!(c.name(), "WSD-H");
         let c = c.with_name("WSD-H (Avg)");
         assert_eq!(c.name(), "WSD-H (Avg)");

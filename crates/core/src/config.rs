@@ -1,17 +1,8 @@
-//! Algorithm selection and the legacy one-pattern counter factory.
+//! Algorithm selection.
 //!
 //! [`Algorithm`] enumerates the paper's comparison set and is consumed
-//! by [`crate::session::SessionBuilder`] — the primary construction
-//! path. [`CounterConfig`] is the historical per-pattern factory, kept
-//! as a thin shim over a single-query session so every golden,
-//! differential and property suite keeps pinning the redesign.
-
-use crate::counter::SubgraphCounter;
-use crate::estimator::MassKernel;
-use crate::session::{SessionBuilder, SessionCounter};
-use crate::state::TemporalPooling;
-use crate::weight::LinearPolicy;
-use wsd_graph::Pattern;
+//! by [`crate::session::SessionBuilder`], the one way to build a
+//! sampler.
 
 /// The algorithms compared in the paper's evaluation (§V-A).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -67,104 +58,14 @@ impl Algorithm {
     }
 }
 
-/// Everything needed to build a legacy one-pattern counter.
-///
-/// Superseded by [`SessionBuilder`], which attaches any number of
-/// pattern queries to one shared sampler pass; this config survives as
-/// the single-query shim the historical test suites drive.
-#[derive(Clone, Debug)]
-pub struct CounterConfig {
-    /// Pattern to count.
-    pub pattern: Pattern,
-    /// Memory budget `M` (edges).
-    pub capacity: usize,
-    /// RNG seed for the sampling randomness.
-    pub seed: u64,
-    /// Learned policy for [`Algorithm::WsdL`] (a neutral policy is used
-    /// if absent, making WSD-L behave like uniform WSD).
-    pub policy: Option<LinearPolicy>,
-    /// Temporal pooling for the WSD-L state (Table XIII ablation).
-    pub pooling: TemporalPooling,
-    /// Waiting-room fraction for WRS.
-    pub wrs_fraction: f64,
-    /// Estimator mass-accumulation kernel for the samplers that run the
-    /// weighted mass pass (WSD variants, GPS, GPS-A) or WRS's instance
-    /// weigher. Defaults to the build default (lane-batched under the
-    /// `simd` feature, scalar otherwise); estimates are bit-identical
-    /// either way.
-    pub mass_kernel: MassKernel,
-}
-
-impl CounterConfig {
-    /// Creates a config with the paper's defaults.
-    pub fn new(pattern: Pattern, capacity: usize, seed: u64) -> Self {
-        Self {
-            pattern,
-            capacity,
-            seed,
-            policy: None,
-            pooling: TemporalPooling::Max,
-            wrs_fraction: crate::algorithms::wrs::DEFAULT_WAITING_ROOM_FRACTION,
-            mass_kernel: MassKernel::build_default(),
-        }
-    }
-
-    /// Selects the estimator mass kernel (used by the scalar/SIMD
-    /// differential tests to pit both kernels against each other inside
-    /// one binary).
-    pub fn with_mass_kernel(mut self, kernel: MassKernel) -> Self {
-        self.mass_kernel = kernel;
-        self
-    }
-
-    /// Attaches a learned policy (consumed by WSD-L).
-    pub fn with_policy(mut self, policy: LinearPolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Sets the temporal pooling variant.
-    pub fn with_pooling(mut self, pooling: TemporalPooling) -> Self {
-        self.pooling = pooling;
-        self
-    }
-
-    /// The equivalent [`SessionBuilder`]: one query for this config's
-    /// pattern, every knob carried over.
-    pub fn session_builder(&self, alg: Algorithm) -> SessionBuilder {
-        let mut b = SessionBuilder::new(alg, self.capacity, self.seed)
-            .query(self.pattern)
-            .with_pooling(self.pooling)
-            .with_wrs_fraction(self.wrs_fraction)
-            .with_mass_kernel(self.mass_kernel);
-        if let Some(policy) = &self.policy {
-            b = b.with_policy(policy.clone());
-        }
-        b
-    }
-
-    /// Builds the counter for `alg` — a single-query
-    /// [`crate::StreamSession`] behind the legacy trait, bit-identical
-    /// to the historical per-pattern counters.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use SessionBuilder::new(alg, capacity, seed).query(pattern).build(); \
-                one session answers any number of pattern queries off one sampler pass"
-    )]
-    pub fn build(&self, alg: Algorithm) -> Box<dyn SubgraphCounter> {
-        Box::new(SessionCounter::new(self.session_builder(alg).build()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy factory is exercised deliberately
     use super::*;
-    use wsd_graph::{Edge, EdgeEvent};
+    use crate::session::SessionBuilder;
+    use wsd_graph::{Edge, EdgeEvent, Pattern};
 
     #[test]
     fn factory_builds_every_algorithm() {
-        let cfg = CounterConfig::new(Pattern::Triangle, 64, 7);
         for alg in [
             Algorithm::WsdL,
             Algorithm::WsdH,
@@ -175,10 +76,11 @@ mod tests {
             Algorithm::ThinkD,
             Algorithm::Wrs,
         ] {
-            let mut c = cfg.build(alg);
+            let mut c = SessionBuilder::new(alg, 64, 7).query(Pattern::Triangle).build();
+            let (q, _) = c.queries().next().unwrap();
             assert_eq!(c.name(), alg.name());
             c.process(EdgeEvent::insert(Edge::new(1, 2)));
-            assert_eq!(c.estimate(), 0.0);
+            assert_eq!(c.estimate(q), 0.0);
         }
     }
 
@@ -199,8 +101,9 @@ mod tests {
     #[should_panic(expected = "does not match")]
     fn mismatched_policy_dimension_panics() {
         use crate::weight::LinearPolicy;
-        let cfg =
-            CounterConfig::new(Pattern::Triangle, 64, 7).with_policy(LinearPolicy::neutral(5)); // triangle needs 6
-        let _ = cfg.build(Algorithm::WsdL);
+        let cfg = SessionBuilder::new(Algorithm::WsdL, 64, 7)
+            .query(Pattern::Triangle)
+            .with_policy(LinearPolicy::neutral(5)); // triangle needs 6
+        let _ = cfg.build();
     }
 }

@@ -1,6 +1,5 @@
 //! Batched stream ingestion.
 
-use crate::counter::SubgraphCounter;
 use crate::session::StreamSession;
 use wsd_graph::EdgeEvent;
 
@@ -10,10 +9,10 @@ use wsd_graph::EdgeEvent;
 /// small enough that pre-drawn variate buffers stay cache-resident.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
-/// Drives a counter over a stream in fixed-size batches.
+/// Drives a [`StreamSession`] over a stream in fixed-size batches.
 ///
 /// Each batch goes through
-/// [`SubgraphCounter::process_batch`], which is
+/// [`StreamSession::process_batch`], which is
 /// **bit-identical** to per-event processing (the equivalence is
 /// asserted by the `admission_equivalence` differential suite for every
 /// algorithm) but resolves admission at run granularity: variates are
@@ -51,31 +50,6 @@ impl BatchDriver {
         self.batch_size
     }
 
-    /// Feeds the whole stream to `counter`, batch by batch.
-    pub fn run(&self, counter: &mut dyn SubgraphCounter, stream: &[EdgeEvent]) {
-        for chunk in stream.chunks(self.batch_size) {
-            counter.process_batch(chunk);
-        }
-    }
-
-    /// Feeds the stream batch by batch, invoking `checkpoint` with the
-    /// number of events consumed so far after every batch — the hook the
-    /// evaluation harness uses for MARE checkpoints without abandoning
-    /// batched ingestion.
-    pub fn run_with_checkpoints(
-        &self,
-        counter: &mut dyn SubgraphCounter,
-        stream: &[EdgeEvent],
-        checkpoint: &mut dyn FnMut(usize, &dyn SubgraphCounter),
-    ) {
-        let mut consumed = 0;
-        for chunk in stream.chunks(self.batch_size) {
-            counter.process_batch(chunk);
-            consumed += chunk.len();
-            checkpoint(consumed, counter);
-        }
-    }
-
     /// Feeds the whole stream to a [`StreamSession`], batch by batch —
     /// every attached query advances together on the one sampler pass.
     pub fn run_session(&self, session: &mut StreamSession, stream: &[EdgeEvent]) {
@@ -85,8 +59,9 @@ impl BatchDriver {
     }
 
     /// As [`BatchDriver::run_session`], invoking `checkpoint` with the
-    /// number of events consumed so far after every batch (the session
-    /// analogue of [`BatchDriver::run_with_checkpoints`]).
+    /// number of events consumed so far after every batch — the hook the
+    /// evaluation harness uses for MARE checkpoints without abandoning
+    /// batched ingestion.
     pub fn run_session_with_checkpoints(
         &self,
         session: &mut StreamSession,
@@ -104,9 +79,8 @@ impl BatchDriver {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy factory path is pinned deliberately
     use super::*;
-    use crate::config::{Algorithm, CounterConfig};
+    use crate::config::Algorithm;
     use crate::session::SessionBuilder;
     use wsd_graph::{Edge, Pattern};
 
@@ -114,30 +88,36 @@ mod tests {
         (0..n).map(|i| EdgeEvent::insert(Edge::new(i, i + 1))).collect()
     }
 
+    fn session(alg: Algorithm) -> StreamSession {
+        SessionBuilder::new(alg, 32, 1).query(Pattern::Triangle).build()
+    }
+
     #[test]
     fn drives_full_stream() {
         let events = stream(100);
-        let mut a = CounterConfig::new(Pattern::Triangle, 32, 1).build(Algorithm::Triest);
-        let mut b = CounterConfig::new(Pattern::Triangle, 32, 1).build(Algorithm::Triest);
-        BatchDriver::with_batch_size(7).run(a.as_mut(), &events);
+        let mut a = session(Algorithm::Triest);
+        let mut b = session(Algorithm::Triest);
+        BatchDriver::with_batch_size(7).run_session(&mut a, &events);
         for &ev in &events {
             b.process(ev);
         }
-        assert_eq!(a.estimate(), b.estimate());
+        let estimate = |s: &StreamSession| s.estimate(s.queries().next().unwrap().0);
+        assert_eq!(estimate(&a), estimate(&b));
         assert_eq!(a.stored_edges(), b.stored_edges());
     }
 
     #[test]
     fn checkpoints_cover_stream_once() {
         let events = stream(50);
-        let mut c = CounterConfig::new(Pattern::Triangle, 32, 1).build(Algorithm::ThinkD);
+        let mut c = session(Algorithm::ThinkD);
+        let (q, _) = c.queries().next().unwrap();
         let mut seen = Vec::new();
-        BatchDriver::with_batch_size(16).run_with_checkpoints(
-            c.as_mut(),
+        BatchDriver::with_batch_size(16).run_session_with_checkpoints(
+            &mut c,
             &events,
-            &mut |consumed, counter| {
+            &mut |consumed, session| {
                 seen.push(consumed);
-                let _ = counter.estimate();
+                let _ = session.estimate(q);
             },
         );
         assert_eq!(seen, vec![16, 32, 48, 50]);
@@ -145,20 +125,28 @@ mod tests {
 
     #[test]
     fn session_checkpoints_match_counter_checkpoints() {
+        // The counter side is a one-query session fed event by event:
+        // batched checkpoints must see its estimates at the same positions.
         let events = stream(50);
-        let mut counter = CounterConfig::new(Pattern::Triangle, 32, 1).build(Algorithm::ThinkD);
-        let mut session =
-            SessionBuilder::new(Algorithm::ThinkD, 32, 1).query(Pattern::Triangle).build();
+        let mut counter = session(Algorithm::ThinkD);
+        let (counter_q, _) = counter.queries().next().unwrap();
+        let mut session = session(Algorithm::ThinkD);
         let (qid, _) = session.queries().next().unwrap();
-        let driver = BatchDriver::with_batch_size(16);
         let mut counter_cps = Vec::new();
-        driver.run_with_checkpoints(counter.as_mut(), &events, &mut |consumed, c| {
-            counter_cps.push((consumed, c.estimate().to_bits()));
-        });
+        for (i, &ev) in events.iter().enumerate() {
+            counter.process(ev);
+            if (i + 1) % 16 == 0 || i + 1 == events.len() {
+                counter_cps.push((i + 1, counter.estimate(counter_q).to_bits()));
+            }
+        }
         let mut session_cps = Vec::new();
-        driver.run_session_with_checkpoints(&mut session, &events, &mut |consumed, s| {
-            session_cps.push((consumed, s.estimate(qid).to_bits()));
-        });
+        BatchDriver::with_batch_size(16).run_session_with_checkpoints(
+            &mut session,
+            &events,
+            &mut |consumed, s| {
+                session_cps.push((consumed, s.estimate(qid).to_bits()));
+            },
+        );
         assert_eq!(counter_cps, session_cps);
     }
 

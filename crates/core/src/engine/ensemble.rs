@@ -1,6 +1,5 @@
 //! Parallel ensemble execution of independently seeded replicas.
 
-use crate::counter::SubgraphCounter;
 use crate::engine::batch::BatchDriver;
 use crate::session::StreamSession;
 use wsd_graph::{EdgeEvent, Pattern};
@@ -95,10 +94,10 @@ impl EnsembleReport {
     }
 }
 
-/// Executes N independently seeded replicas of a counter (or a whole
-/// multi-query session, see [`Ensemble::run_sessions`]) over the same
-/// stream on a thread pool and merges their estimates — the paper's
-/// repeated-runs protocol as a first-class parallel primitive.
+/// Executes N independently seeded replicas of a session (see
+/// [`Ensemble::run_sessions`]) over the same stream on a thread pool and
+/// merges their estimates per query — the paper's repeated-runs protocol
+/// as a first-class parallel primitive.
 ///
 /// Replica `i` is built by the caller's factory from seed
 /// [`replica_seed`]`(base_seed, i)` and ingests the stream through a
@@ -177,21 +176,6 @@ impl Ensemble {
         self.threads
     }
 
-    /// Runs the ensemble: builds replica `i` via
-    /// `build(replica_seed(base_seed, i))`, ingests the stream in
-    /// batches, and merges the final estimates.
-    pub fn run<F>(&self, stream: &[EdgeEvent], build: F) -> EnsembleReport
-    where
-        F: Fn(u64) -> Box<dyn SubgraphCounter> + Sync,
-    {
-        let estimates = parallel_map(self.replicas, self.threads, |i| {
-            let mut counter = build(replica_seed(self.base_seed, i as u64));
-            self.driver.run(counter.as_mut(), stream);
-            counter.estimate()
-        });
-        EnsembleReport::from_estimates(estimates)
-    }
-
     /// Runs an ensemble of multi-query sessions: replica `i` is the
     /// session built from `replica_seed(base_seed, i)`, every replica
     /// ingests the stream in batches, and each query position is merged
@@ -228,8 +212,8 @@ impl Ensemble {
     }
 
     /// Runs an arbitrary per-replica computation on the pool, returning
-    /// results in replica order. The generalisation of [`Ensemble::run`]
-    /// used by the evaluation harness, whose replicas also track
+    /// results in replica order. The generalisation of
+    /// [`Ensemble::run_sessions`] used by the evaluation harness, whose replicas also track
     /// checkpoint errors rather than just the final estimate.
     pub fn map<T, F>(&self, per_replica: F) -> Vec<T>
     where
@@ -259,9 +243,8 @@ impl SessionEnsembleReport {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy factory path is pinned deliberately
     use super::*;
-    use crate::config::{Algorithm, CounterConfig};
+    use crate::config::Algorithm;
     use crate::session::SessionBuilder;
     use wsd_graph::Edge;
 
@@ -277,6 +260,10 @@ mod tests {
             events.push(EdgeEvent::delete(Edge::new(a, a + 1)));
         }
         events
+    }
+
+    fn triangle_session(alg: Algorithm, capacity: usize, seed: u64) -> StreamSession {
+        SessionBuilder::new(alg, capacity, seed).query(Pattern::Triangle).build()
     }
 
     #[test]
@@ -309,7 +296,10 @@ mod tests {
                 .with_threads(threads)
                 .with_base_seed(99)
                 .with_batch_size(37)
-                .run(&events, |seed| CounterConfig::new(Pattern::Triangle, 48, seed).build(alg))
+                .run_sessions(&events, |seed| triangle_session(alg, 48, seed))
+                .queries
+                .remove(0)
+                .1
         };
         for alg in [Algorithm::WsdH, Algorithm::Triest, Algorithm::Wrs] {
             let one = run(1, alg);
@@ -324,9 +314,12 @@ mod tests {
     #[test]
     fn replicas_differ_but_mean_is_reasonable() {
         let events = stream();
-        let report = Ensemble::new(12).with_base_seed(5).run(&events, |seed| {
-            CounterConfig::new(Pattern::Triangle, 64, seed).build(Algorithm::ThinkD)
-        });
+        let report = Ensemble::new(12)
+            .with_base_seed(5)
+            .run_sessions(&events, |seed| triangle_session(Algorithm::ThinkD, 64, seed))
+            .queries
+            .remove(0)
+            .1;
         // Budgeted replicas disagree (variance > 0) …
         assert!(report.variance > 0.0);
         // … but the width of the CI is consistent with the spread.
@@ -384,12 +377,13 @@ mod tests {
                 assert_eq!(a.1.estimates, b.1.estimates);
             }
         }
-        // The triangle query of the session ensemble matches the legacy
-        // single-counter ensemble bit-for-bit (same seeds, weight pass
-        // fused with the triangle query).
-        let legacy = Ensemble::new(6).with_base_seed(42).run(&events, |seed| {
-            CounterConfig::new(Pattern::Triangle, 48, seed).build(Algorithm::WsdH)
-        });
+        // The triangle query of the multi-query ensemble matches the
+        // single-query ensemble bit-for-bit (same seeds, weight pass fused
+        // with the triangle query).
+        let legacy = Ensemble::new(6)
+            .with_base_seed(42)
+            .run_sessions(&events, |seed| triangle_session(Algorithm::WsdH, 48, seed));
+        let legacy = legacy.for_pattern(Pattern::Triangle).unwrap();
         assert_eq!(legacy.estimates, one.for_pattern(Pattern::Triangle).unwrap().estimates);
     }
 

@@ -53,12 +53,12 @@ use crate::state::StateAccumulator;
 use wsd_graph::patterns::EnumScratch;
 use wsd_graph::{Edge, InstanceBlock, LayeredLevels, Pattern, BLOCK_LANES};
 
-/// Which estimator mass-accumulation kernel a counter runs.
+/// Which estimator mass-accumulation kernel a session runs.
 ///
 /// Both kernels produce bit-identical estimates (the differential test
 /// harness and the golden pins enforce it); `Lanes` is faster on
-/// instance-heavy events. Selectable per counter via
-/// `CounterConfig::with_mass_kernel`, mostly so the differential tests
+/// instance-heavy events. Selectable per session via
+/// `SessionBuilder::with_mass_kernel`, mostly so the differential tests
 /// can pit the two against each other inside one binary.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum MassKernel {

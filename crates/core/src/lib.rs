@@ -21,10 +21,10 @@
 //!   fed from the shared sample (Algorithm 2 and the baselines'
 //!   analogues; unbiased per query because the inclusion identity holds
 //!   per edge, not per pattern).
-//! * [`SubgraphCounter`] — the legacy one-pattern trait, now served by
-//!   single-query sessions (`CounterConfig::build`, deprecated) and the
-//!   per-algorithm `XCounter` façades; bit-identical to the historical
-//!   counters.
+//!
+//! A session is the only way to build and drive a sampler: a one-pattern
+//! count is a session with one query, built by [`SessionBuilder`] or, for
+//! a hand-configured sampler, [`StreamSession::from_parts`].
 //!
 //! Weight functions ([`weight`]) plug into the weighted samplers: the
 //! uniform control, the GPS heuristic `9·|H(e)|+1` (WSD-H), and the
@@ -50,8 +50,8 @@
 //! accumulate in emission order. The `simd` feature (enabled by
 //! default) only selects which kernel [`MassKernel::build_default`]
 //! returns; building with `--no-default-features` flips the default to
-//! `Scalar`. Counters take an explicit kernel via
-//! [`CounterConfig::with_mass_kernel`], which is how the differential
+//! `Scalar`. Sessions take an explicit kernel via
+//! [`SessionBuilder::with_mass_kernel`], which is how the differential
 //! test harness pins the bit-identity contract inside one binary.
 //!
 //! # Batched admission
@@ -105,7 +105,6 @@
 
 pub mod algorithms;
 pub mod config;
-pub mod counter;
 pub mod engine;
 mod estimator;
 pub mod policy;
@@ -117,17 +116,16 @@ pub mod snapshot;
 pub mod state;
 pub mod weight;
 
-pub use config::{Algorithm, CounterConfig};
-pub use counter::SubgraphCounter;
+pub use config::Algorithm;
 pub use engine::{BatchDriver, Ensemble, EnsembleReport, SessionEnsembleReport};
 pub use estimator::MassKernel;
 pub use policy::{PolicyArtifact, PolicyError, PolicyMeta, PolicyRegistry};
 pub use session::{
     EdgeSampler, LayeredPlan, PatternQuery, QueryCheckpoint, QueryCtx, QueryId, QueryReport,
-    SessionBuilder, SessionCounter, SessionReport, StreamSession, WeightSwapError,
+    SessionBuilder, SessionReport, StreamSession, WeightSwapError,
 };
 pub use snapshot::{
-    ByteReader, ByteWriter, QuerySnapshot, SamplerState, SessionConfig, SessionSnapshot,
+    ByteReader, ByteWriter, QuerySnapshot, SamplerState, SealError, SessionConfig, SessionSnapshot,
     SnapshotError,
 };
 pub use state::{StateVector, TemporalPooling};

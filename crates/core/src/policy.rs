@@ -27,7 +27,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
+use crate::snapshot::{ByteReader, ByteWriter, SealError, SnapshotError};
 use crate::weight::{HeuristicWeight, LinearPolicy, WeightFn};
 use wsd_graph::Pattern;
 
@@ -37,17 +37,6 @@ pub const POLICY_MAGIC: &[u8; 4] = b"WSDP";
 pub const POLICY_VERSION: u32 = 1;
 /// File extension registry directories are scanned for.
 pub const POLICY_FILE_EXT: &str = "wsdp";
-
-/// FNV-1a 64-bit — the same integrity hash the serve store trails its
-/// snapshot files with.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Decode failure of a policy artifact — every way a file can be wrong
 /// gets its own variant so callers (and the registry's quarantine list)
@@ -208,26 +197,17 @@ impl PolicyArtifact {
         w.put_f64(self.policy.b);
         put_f64_vec(&mut w, self.policy.norm.mean());
         put_f64_vec(&mut w, self.policy.norm.std());
-        let mut bytes = w.into_bytes();
-        let check = fnv1a64(&bytes);
-        bytes.extend_from_slice(&check.to_le_bytes());
-        bytes
+        w.into_sealed_bytes()
     }
 
     /// Decodes an artifact, verifying the checksum, rejecting
     /// non-finite parameters and enforcing the pattern/dimension
     /// consistency invariant.
     pub fn decode(bytes: &[u8]) -> Result<Self, PolicyError> {
-        if bytes.len() < 8 {
-            return Err(PolicyError::Codec(SnapshotError::Truncated));
-        }
-        let (content, tail) = bytes.split_at(bytes.len() - 8);
-        let found = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-        let expected = fnv1a64(content);
-        if found != expected {
-            return Err(PolicyError::BadChecksum { expected, found });
-        }
-        let mut r = ByteReader::new(content);
+        let mut r = ByteReader::unseal(bytes).map_err(|e| match e {
+            SealError::TooShort => PolicyError::Codec(SnapshotError::Truncated),
+            SealError::Mismatch { expected, found } => PolicyError::BadChecksum { expected, found },
+        })?;
         if r.take(4)? != POLICY_MAGIC || r.get_u32()? != POLICY_VERSION {
             return Err(PolicyError::Codec(SnapshotError::BadHeader));
         }
@@ -463,6 +443,49 @@ mod tests {
         a.meta.pattern = Pattern::Wedge; // wedge wants dim 5, artifact has 6
         let err = PolicyArtifact::decode(&a.encode()).expect_err("dim mismatch");
         assert!(matches!(err, PolicyError::DimensionMismatch { expected: 5, got: 6 }), "{err}");
+    }
+
+    #[test]
+    fn checksum_error_reports_both_hashes() {
+        let bytes = artifact().encode();
+        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        let mut bad = bytes.clone();
+        bad[10] ^= 0x40;
+        match PolicyArtifact::decode(&bad) {
+            Err(PolicyError::BadChecksum { expected, found }) => {
+                assert_eq!(found, stored);
+                assert_ne!(expected, found);
+            }
+            other => panic!("expected BadChecksum, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_bad_header() {
+        // A well-sealed blob with the wrong magic still fails.
+        let mut w = ByteWriter::new();
+        w.put_bytes(b"NOPE");
+        w.put_u32(POLICY_VERSION);
+        let err = PolicyArtifact::decode(&w.into_sealed_bytes()).expect_err("bad magic");
+        assert!(matches!(err, PolicyError::Codec(SnapshotError::BadHeader)), "{err}");
+    }
+
+    /// The on-disk format is stable: every checked-in artifact decodes
+    /// and re-encodes to its exact file bytes.
+    #[test]
+    fn checked_in_artifacts_reencode_byte_for_byte() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/policies");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).expect("artifacts/policies exists") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|x| x == POLICY_FILE_EXT) {
+                let bytes = std::fs::read(&path).unwrap();
+                let artifact = PolicyArtifact::decode(&bytes).expect("checked-in artifact decodes");
+                assert_eq!(artifact.encode(), bytes, "{} re-encodes differently", path.display());
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 12, "expected the 12-cell grid under {}", dir.display());
     }
 
     #[test]

@@ -64,14 +64,12 @@
 //! (per-query [`StreamSession::attach`] replays the sample once per
 //! call) — bit-identical to attaching them one by one.
 //!
-//! A session with a single query is **bit-identical** to the legacy
-//! one-pattern counters (`CounterConfig::build`, now a shim over this
-//! module): same RNG stream, same floating-point evaluation order. The
-//! golden pins, the scalar/SIMD differential harness and the session
-//! equivalence suite all enforce this.
+//! A session is the only way to drive a sampler: a one-pattern count
+//! is a session with a single query. Single-query estimates are pinned
+//! by the golden values and the scalar/SIMD differential harness, and
+//! the session equivalence suite pins multi-query ≡ single-query.
 
 use crate::config::Algorithm;
-use crate::counter::SubgraphCounter;
 use crate::estimator::MassKernel;
 use crate::rank::inclusion_prob;
 use crate::sampled_graph::WeightedSample;
@@ -200,9 +198,8 @@ pub struct QueryCtx<'a> {
 }
 
 impl<'a> QueryCtx<'a> {
-    /// A plan-less context — per-query passes, as the legacy counters
-    /// run (used by the single-query counter façades and tests that
-    /// drive an [`EdgeSampler`] directly).
+    /// A plan-less context — per-query passes (used by tests that drive
+    /// an [`EdgeSampler`] directly).
     pub fn new(queries: &'a mut [PatternQuery], scratch: &'a mut EnumScratch) -> Self {
         Self { queries, scratch, plan: None }
     }
@@ -1040,9 +1037,8 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Starts a builder with the paper's defaults (cf.
-    /// `CounterConfig::new`): memory budget `capacity` edges, sampling
-    /// RNG seeded with `seed`.
+    /// Starts a builder with the paper's defaults: memory budget
+    /// `capacity` edges, sampling RNG seeded with `seed`.
     pub fn new(algorithm: Algorithm, capacity: usize, seed: u64) -> Self {
         Self {
             algorithm,
@@ -1143,9 +1139,9 @@ impl SessionBuilder {
         session
     }
 
-    /// Builds just the sampler layer (the session backend; exposed for
-    /// tests that drive [`EdgeSampler`] directly).
-    pub fn build_sampler(&self) -> Box<dyn EdgeSampler> {
+    /// Builds just the sampler layer (the backend of
+    /// [`SessionBuilder::build`] and [`StreamSession::restore`]).
+    fn build_sampler(&self) -> Box<dyn EdgeSampler> {
         use crate::algorithms::{
             GpsASampler, GpsSampler, ThinkDSampler, TriestSampler, WrsSampler, WsdSampler,
         };
@@ -1209,64 +1205,6 @@ impl SessionBuilder {
                 Box::new(WrsSampler::with_fraction(self.capacity, self.wrs_fraction, self.seed))
             }
         }
-    }
-}
-
-/// Adapter presenting a single-query [`StreamSession`] through the
-/// legacy [`SubgraphCounter`] trait — the shim behind the deprecated
-/// `CounterConfig::build`. Bit-identical to the pre-session counters.
-pub struct SessionCounter {
-    session: StreamSession,
-    query: QueryId,
-}
-
-impl SessionCounter {
-    /// Wraps a session, exposing its **first** attached query as the
-    /// counter's estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has no attached query.
-    pub fn new(session: StreamSession) -> Self {
-        let query =
-            session.queries().next().expect("SessionCounter needs at least one attached query").0;
-        Self { session, query }
-    }
-
-    /// The underlying session (e.g. to attach further queries).
-    pub fn session(&self) -> &StreamSession {
-        &self.session
-    }
-
-    /// Unwraps back into the session.
-    pub fn into_session(self) -> StreamSession {
-        self.session
-    }
-}
-
-impl SubgraphCounter for SessionCounter {
-    fn process(&mut self, ev: EdgeEvent) {
-        self.session.process(ev);
-    }
-
-    fn process_batch(&mut self, batch: &[EdgeEvent]) {
-        self.session.process_batch(batch);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.session.estimate(self.query)
-    }
-
-    fn name(&self) -> &str {
-        self.session.name()
-    }
-
-    fn pattern(&self) -> Pattern {
-        self.session.pattern(self.query)
-    }
-
-    fn stored_edges(&self) -> usize {
-        self.session.stored_edges()
     }
 }
 

@@ -97,6 +97,16 @@ impl ByteWriter {
         self.buf
     }
 
+    /// Consumes the writer, yielding the encoded bytes followed by the
+    /// 8-byte little-endian FNV-1a-64 checksum of them — the trailer
+    /// [`ByteReader::unseal`] verifies.
+    pub fn into_sealed_bytes(self) -> Vec<u8> {
+        let mut bytes = self.buf;
+        let sum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -158,6 +168,19 @@ impl<'a> ByteReader<'a> {
     /// Starts reading at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
+    }
+
+    /// Verifies the checksum trailer of a blob written by
+    /// [`ByteWriter::into_sealed_bytes`] and reads the content before it.
+    pub fn unseal(sealed: &'a [u8]) -> Result<Self, SealError> {
+        let split = sealed.len().checked_sub(8).ok_or(SealError::TooShort)?;
+        let (content, trailer) = sealed.split_at(split);
+        let found = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+        let expected = fnv1a64(content);
+        if found != expected {
+            return Err(SealError::Mismatch { expected, found });
+        }
+        Ok(Self::new(content))
     }
 
     /// Bytes not yet consumed.
@@ -228,6 +251,33 @@ impl<'a> ByteReader<'a> {
             Err(SnapshotError::TrailingBytes)
         }
     }
+}
+
+/// Why [`ByteReader::unseal`] rejected a blob.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SealError {
+    /// The blob is shorter than the 8-byte checksum trailer.
+    TooShort,
+    /// The trailer does not match the content — a torn or bit-flipped
+    /// blob.
+    Mismatch {
+        /// Checksum recomputed from the content.
+        expected: u64,
+        /// Checksum stored in the trailer.
+        found: u64,
+    },
+}
+
+/// FNV-1a, 64-bit: tiny, dependency-free corruption detection. This is
+/// an integrity check against torn writes and bit rot, not an
+/// authentication mechanism.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 // ---------------------------------------------------------------------

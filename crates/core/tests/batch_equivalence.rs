@@ -2,7 +2,7 @@
 //!
 //! `process_batch` is an *optimisation*, not a semantic variant: for
 //! every algorithm, ingesting a stream through arbitrary batch
-//! partitions must leave the counter in exactly the state the
+//! partitions must leave the session in exactly the state the
 //! event-by-event path produces — bit-identical estimates (compared via
 //! `f64::to_bits`), identical sample sizes, and an identical RNG stream
 //! (checked implicitly: any divergence in consumed variates desyncs all
@@ -12,10 +12,9 @@
 //! seeds, the merged ensemble estimate is a pure function of the inputs,
 //! independent of worker thread count and batch size.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use proptest::prelude::*;
 use wsd_core::engine::Ensemble;
-use wsd_core::{Algorithm, CounterConfig};
+use wsd_core::{Algorithm, SessionBuilder, StreamSession};
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 
 /// The fully dynamic algorithms of the paper's comparison set, plus the
@@ -66,6 +65,11 @@ fn partitions<'a>(stream: &'a [EdgeEvent], cuts: &[usize]) -> Vec<&'a [EdgeEvent
     out
 }
 
+/// The estimate of a one-query session.
+fn estimate(session: &StreamSession) -> f64 {
+    session.estimate(session.queries().next().expect("one query").0)
+}
+
 /// Runs `alg` sequentially and batched over the same stream and asserts
 /// bit-identical observable state at every batch boundary.
 fn assert_equivalent(
@@ -76,21 +80,21 @@ fn assert_equivalent(
     stream: &[EdgeEvent],
     cuts: &[usize],
 ) -> Result<(), TestCaseError> {
-    let cfg = CounterConfig::new(pattern, capacity, seed);
-    let mut sequential = cfg.build(alg);
-    let mut batched = cfg.build(alg);
+    let cfg = SessionBuilder::new(alg, capacity, seed).query(pattern);
+    let mut sequential = cfg.clone().build();
+    let mut batched = cfg.build();
     for batch in partitions(stream, cuts) {
         for &ev in batch {
             sequential.process(ev);
         }
         batched.process_batch(batch);
         prop_assert_eq!(
-            sequential.estimate().to_bits(),
-            batched.estimate().to_bits(),
+            estimate(&sequential).to_bits(),
+            estimate(&batched).to_bits(),
             "{} estimate diverged (seq {} vs batch {})",
             alg.name(),
-            sequential.estimate(),
-            batched.estimate()
+            estimate(&sequential),
+            estimate(&batched)
         );
         prop_assert_eq!(
             sequential.stored_edges(),
@@ -154,10 +158,10 @@ proptest! {
 
 #[test]
 fn gps_batched_panics_on_deletion_like_sequential() {
-    let cfg = CounterConfig::new(Pattern::Triangle, 8, 1);
+    let cfg = SessionBuilder::new(Algorithm::Gps, 8, 1).query(Pattern::Triangle);
     let batch = [EdgeEvent::insert(Edge::new(1, 2)), EdgeEvent::delete(Edge::new(1, 2))];
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cfg.build(Algorithm::Gps).process_batch(&batch);
+        cfg.build().process_batch(&batch);
     }));
     assert!(result.is_err(), "deletion inside a GPS batch must still panic");
 }
@@ -185,19 +189,24 @@ fn ensemble_merge_is_schedule_invariant() {
         Algorithm::ThinkD,
         Algorithm::Wrs,
     ] {
+        let build = |seed| SessionBuilder::new(alg, 64, seed).query(Pattern::Triangle).build();
         let reference = Ensemble::new(8)
             .with_threads(1)
             .with_base_seed(7)
-            .run(&stream, |seed| CounterConfig::new(Pattern::Triangle, 64, seed).build(alg));
+            .run_sessions(&stream, build)
+            .queries
+            .remove(0)
+            .1;
         for threads in [2, 3, 8] {
             for batch_size in [1, 17, 4096] {
                 let report = Ensemble::new(8)
                     .with_threads(threads)
                     .with_base_seed(7)
                     .with_batch_size(batch_size)
-                    .run(&stream, |seed| {
-                        CounterConfig::new(Pattern::Triangle, 64, seed).build(alg)
-                    });
+                    .run_sessions(&stream, build)
+                    .queries
+                    .remove(0)
+                    .1;
                 assert_eq!(
                     reference.estimates,
                     report.estimates,

@@ -3,9 +3,19 @@
 //! coherence, and the documented GPS-A budget-waste behaviour.
 
 use proptest::prelude::*;
-use wsd_core::algorithms::{GpsACounter, WsdCounter};
-use wsd_core::{HeuristicWeight, SubgraphCounter, TemporalPooling, UniformWeight};
+use wsd_core::algorithms::{GpsASampler, WsdSampler};
+use wsd_core::{
+    Algorithm, EdgeSampler, HeuristicWeight, QueryCtx, SessionBuilder, TemporalPooling,
+    UniformWeight,
+};
+use wsd_graph::patterns::EnumScratch;
 use wsd_graph::{Edge, EdgeEvent, Pattern};
+
+/// Feeds one event to a sampler with no attached query (the sample
+/// trajectory does not depend on the queries).
+fn feed(sampler: &mut dyn EdgeSampler, ev: EdgeEvent, scratch: &mut EnumScratch) {
+    sampler.process(ev, QueryCtx::new(&mut [], scratch));
+}
 
 fn feasible_stream(intents: Vec<(u8, u8, bool)>) -> Vec<EdgeEvent> {
     let mut present = std::collections::BTreeSet::new();
@@ -37,16 +47,17 @@ proptest! {
         capacity in 4usize..24,
     ) {
         let stream = feasible_stream(intents);
-        let mut c = WsdCounter::new(
+        let mut c = WsdSampler::new(
             Pattern::Triangle,
             capacity,
             Box::new(UniformWeight),
             TemporalPooling::Max,
             9,
         );
+        let mut scratch = EnumScratch::default();
         for &ev in &stream {
             let before = c.thresholds();
-            c.process(ev);
+            feed(&mut c, ev, &mut scratch);
             let (tau_p, tau_q) = c.thresholds();
             prop_assert!(tau_p >= 0.0 && tau_q >= 0.0);
             if tau_p > 0.0 {
@@ -67,10 +78,11 @@ proptest! {
         capacity in 4usize..24,
     ) {
         let stream = feasible_stream(intents);
-        let mut c = GpsACounter::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), 9);
+        let mut c = GpsASampler::new(Pattern::Triangle, capacity, Box::new(HeuristicWeight), 9);
+        let mut scratch = EnumScratch::default();
         let mut max_stored = 0usize;
         for &ev in &stream {
-            c.process(ev);
+            feed(&mut c, ev, &mut scratch);
             let stored = c.stored_edges();
             prop_assert!(stored <= capacity);
             prop_assert!(stored >= max_stored || stored == capacity,
@@ -87,13 +99,14 @@ proptest! {
         intents in proptest::collection::vec((0u8..14, 0u8..14, any::<bool>()), 0..250),
     ) {
         let stream = feasible_stream(intents);
-        let mut c = WsdCounter::new(
+        let mut c = WsdSampler::new(
             Pattern::Triangle,
             8,
             Box::new(UniformWeight),
             TemporalPooling::Max,
             3,
         );
+        let mut scratch = EnumScratch::default();
         let mut live = std::collections::BTreeSet::new();
         for &ev in &stream {
             if ev.is_insert() {
@@ -101,7 +114,7 @@ proptest! {
             } else {
                 live.remove(&ev.edge);
             }
-            c.process(ev);
+            feed(&mut c, ev, &mut scratch);
             if !ev.is_insert() {
                 prop_assert!(!c.sampled(ev.edge), "deleted edge still sampled");
             }
@@ -121,13 +134,13 @@ proptest! {
 /// The minimum legal budget (M = |H|) works end to end.
 #[test]
 fn minimum_budget_is_usable() {
-    let mut c =
-        WsdCounter::new(Pattern::Triangle, 3, Box::new(HeuristicWeight), TemporalPooling::Max, 1);
+    let mut c = SessionBuilder::new(Algorithm::WsdH, 3, 1).query(Pattern::Triangle).build();
+    let (q, _) = c.queries().next().unwrap();
     for a in 0..20u64 {
         for b in (a + 1)..20 {
             c.process(EdgeEvent::insert(Edge::new(a, b)));
         }
     }
-    assert!(c.estimate().is_finite());
+    assert!(c.estimate(q).is_finite());
     assert_eq!(c.stored_edges(), 3);
 }

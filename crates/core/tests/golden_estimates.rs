@@ -12,16 +12,16 @@
 //! different RNG protocol), regenerate these constants deliberately and
 //! say so in the commit — never loosen the comparison to a tolerance.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
-use wsd_core::{Algorithm, CounterConfig};
+use wsd_core::{Algorithm, SessionBuilder};
 use wsd_graph::Pattern;
 use wsd_stream::gen::GeneratorConfig;
 use wsd_stream::{EventStream, Scenario};
 
 fn run(events: &EventStream, pattern: Pattern, alg: Algorithm, seed: u64, capacity: usize) -> f64 {
-    let mut c = CounterConfig::new(pattern, capacity, seed).build(alg);
+    let mut c = SessionBuilder::new(alg, capacity, seed).query(pattern).build();
+    let (q, _) = c.queries().next().unwrap();
     c.process_all(events);
-    c.estimate()
+    c.estimate(q)
 }
 
 fn check(events: &EventStream, seed: u64, capacity: usize, golden: &[(Pattern, Algorithm, f64)]) {
@@ -154,11 +154,13 @@ fn golden_wrs_forest_fire_churn() {
         (0.3, Pattern::FourClique, 63.11443438914028_f64),
     ];
     for &(fraction, pattern, want) in &golden {
-        let mut cfg = CounterConfig::new(pattern, capacity, 31);
-        cfg.wrs_fraction = fraction;
-        let mut c = cfg.build(Algorithm::Wrs);
+        let mut c = SessionBuilder::new(Algorithm::Wrs, capacity, 31)
+            .query(pattern)
+            .with_wrs_fraction(fraction)
+            .build();
+        let (q, _) = c.queries().next().unwrap();
         c.process_all(&events);
-        let got = c.estimate();
+        let got = c.estimate(q);
         assert_eq!(
             got.to_bits(),
             want.to_bits(),

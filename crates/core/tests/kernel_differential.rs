@@ -5,7 +5,7 @@
 //!
 //! Both kernels are always compiled (the `simd` feature only moves the
 //! build default), so this harness pits them against each other inside
-//! one binary: two counters of the same algorithm, same seed, same
+//! one binary: two sessions of the same algorithm, same seed, same
 //! stream — one per kernel — processed in lockstep, comparing the
 //! estimate bits after *every* event. CI runs the suite under both
 //! feature configurations (`default` and `--no-default-features`), which
@@ -13,7 +13,7 @@
 //! passes everywhere.
 //!
 //! Coverage axes:
-//! * algorithms — every counter with a weighted-mass / instance-weigher
+//! * algorithms — every sampler with a weighted-mass / instance-weigher
 //!   path: WSD-H, WSD-U, WSD-L (full-state accumulator arm), GPS-A, WRS,
 //!   plus insertion-only GPS (Triest/ThinkD take no kernel; their count
 //!   path is kernel-free by construction);
@@ -25,12 +25,16 @@
 //!   sampled-graph neighbourhoods across the galloping shadow threshold
 //!   in both directions.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use proptest::prelude::*;
-use wsd_core::{Algorithm, CounterConfig, MassKernel};
+use wsd_core::{Algorithm, MassKernel, SessionBuilder, StreamSession};
 use wsd_graph::{Edge, EdgeEvent, Pattern, SHADOW_THRESHOLD};
 
-/// Runs the same stream through a Scalar- and a Lanes-kernel counter in
+/// The estimate of a one-query session.
+fn estimate(session: &StreamSession) -> f64 {
+    session.estimate(session.queries().next().expect("one query").0)
+}
+
+/// Runs the same stream through a Scalar- and a Lanes-kernel session in
 /// lockstep, asserting bit-identical estimates and equal sample sizes
 /// after every event.
 fn assert_kernels_agree(
@@ -40,21 +44,20 @@ fn assert_kernels_agree(
     seed: u64,
     stream: &[EdgeEvent],
 ) {
-    let mut scalar =
-        CounterConfig::new(pattern, capacity, seed).with_mass_kernel(MassKernel::Scalar).build(alg);
-    let mut lanes =
-        CounterConfig::new(pattern, capacity, seed).with_mass_kernel(MassKernel::Lanes).build(alg);
+    let cfg = SessionBuilder::new(alg, capacity, seed).query(pattern);
+    let mut scalar = cfg.clone().with_mass_kernel(MassKernel::Scalar).build();
+    let mut lanes = cfg.with_mass_kernel(MassKernel::Lanes).build();
     for (i, &ev) in stream.iter().enumerate() {
         scalar.process(ev);
         lanes.process(ev);
         assert_eq!(
-            scalar.estimate().to_bits(),
-            lanes.estimate().to_bits(),
+            estimate(&scalar).to_bits(),
+            estimate(&lanes).to_bits(),
             "{} on {}: kernels diverged at event {i} ({ev:?}): scalar {:?}, lanes {:?}",
             alg.name(),
             pattern.name(),
-            scalar.estimate(),
-            lanes.estimate()
+            estimate(&scalar),
+            estimate(&lanes)
         );
         assert_eq!(
             scalar.stored_edges(),

@@ -6,22 +6,20 @@
 //! pass per query. These tests pin the contract that makes that safe:
 //! the layered pass emits at every level in exactly the per-pattern
 //! kernel order, so **estimates are bit-for-bit identical** to the
-//! per-query-pass session (and, transitively, to the legacy counters).
+//! per-query-pass session (and, transitively, to single-query sessions).
 //!
 //! 1. Layered session ≡ `with_layered(false)` session, per event, for
 //!    every algorithm × nested pattern mix × churn stream.
-//! 2. The fused weight query of a layered session ≡ the legacy
-//!    standalone counter, per event.
+//! 2. The fused weight query of a layered session ≡ a single-query
+//!    session counting that pattern alone, per event.
 //! 3. `attach_many` ≡ the same attaches performed one at a time
 //!    (the shared warm-up replay is bit-identical to N solo replays).
 //! 4. Batched layered processing ≡ sequential layered processing.
 //! 5. Non-nesting query mixes (k-cliques above 4) plan nothing and fall
 //!    back to the per-query passes unchanged.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy shim is pinned deliberately
-
 use proptest::prelude::*;
-use wsd_core::{Algorithm, CounterConfig, SessionBuilder, StreamSession};
+use wsd_core::{Algorithm, SessionBuilder, StreamSession};
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 
 /// Every deletion-capable algorithm of the comparison set.
@@ -155,14 +153,15 @@ fn layered_gps_matches_per_query_passes() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Fused weight query ≡ legacy counter under layered enumeration.
+// 2. Fused weight query ≡ single-query session under layered enumeration.
 // ---------------------------------------------------------------------
 
 #[test]
 fn layered_weight_query_matches_legacy_counter_per_event() {
     let stream = churn_stream();
     for alg in [Algorithm::WsdH, Algorithm::WsdL, Algorithm::GpsA] {
-        let mut legacy = CounterConfig::new(Pattern::Triangle, 24, 11).build(alg);
+        let mut legacy = SessionBuilder::new(alg, 24, 11).query(Pattern::Triangle).build();
+        let (legacy_q, _) = legacy.queries().next().unwrap();
         let mut layered = SessionBuilder::new(alg, 24, 11)
             .query(Pattern::Wedge)
             .query(Pattern::Triangle)
@@ -175,7 +174,7 @@ fn layered_weight_query_matches_legacy_counter_per_event() {
             legacy.process(ev);
             layered.process(ev);
             assert_eq!(
-                legacy.estimate().to_bits(),
+                legacy.estimate(legacy_q).to_bits(),
                 layered.estimate(tri).to_bits(),
                 "{} fused triangle query diverged from legacy counter at event {i}",
                 alg.name()

@@ -1,17 +1,18 @@
 //! Session-API equivalence guarantees.
 //!
-//! The [`wsd_core::StreamSession`] redesign split every counter into a
-//! sampler layer and a query layer. These tests pin the contracts that
-//! make the split safe:
+//! A [`wsd_core::StreamSession`] is a sampler layer plus a query layer.
+//! These tests pin the contracts that make the split safe:
 //!
-//! 1. A **single-query session** is per-event bit-identical to the
-//!    legacy `CounterConfig::build` counter for every algorithm ×
-//!    pattern × churn stream (estimates compared via `f64::to_bits`).
+//! 1. A **single-query session** from [`SessionBuilder`] is per-event
+//!    bit-identical to the same configuration assembled by hand — the
+//!    concrete sampler wrapped with [`StreamSession::from_parts`] — for
+//!    every algorithm × pattern × churn stream (estimates compared via
+//!    `f64::to_bits`).
 //! 2. In a **multi-query session**, the query counting the sampler's
-//!    weight pattern is bit-identical to a standalone counter of that
-//!    pattern (the sampler trajectory depends only on the weight
-//!    pattern); for pattern-blind samplers (uniform weights, Triest,
-//!    ThinkD, WRS) *every* query matches its standalone counter.
+//!    weight pattern is bit-identical to a standalone single-query
+//!    session of that pattern (the sampler trajectory depends only on
+//!    the weight pattern); for pattern-blind samplers (uniform weights,
+//!    Triest, ThinkD, WRS) *every* query matches its standalone session.
 //! 3. **Attach warm-up** is a pure function of the sampler state: a
 //!    query attached at event `t` has exactly the trajectory of a query
 //!    detached and re-attached at `t` — and for Triest, whose estimator
@@ -21,10 +22,14 @@
 //!    surviving queries and the sample trajectory are bit-identical to
 //!    a session that never attached anything.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
-
 use proptest::prelude::*;
-use wsd_core::{Algorithm, CounterConfig, SessionBuilder, StreamSession};
+use wsd_core::algorithms::{
+    GpsASampler, GpsSampler, ThinkDSampler, TriestSampler, WrsSampler, WsdSampler,
+};
+use wsd_core::{
+    Algorithm, EdgeSampler, HeuristicWeight, LinearPolicy, MassKernel, SessionBuilder,
+    StreamSession, TemporalPooling, UniformWeight,
+};
 use wsd_graph::{Edge, EdgeEvent, Pattern};
 
 /// Every deletion-capable algorithm of the comparison set.
@@ -40,7 +45,7 @@ const DYNAMIC_ALGORITHMS: [Algorithm; 7] = [
 
 /// Samplers whose trajectory ignores every pattern: uniform weights and
 /// the uniform baselines. Every query of such a session matches its
-/// standalone counter bit-for-bit.
+/// standalone session bit-for-bit.
 const PATTERN_BLIND: [Algorithm; 4] =
     [Algorithm::WsdUniform, Algorithm::Triest, Algorithm::ThinkD, Algorithm::Wrs];
 
@@ -102,8 +107,37 @@ fn single_query_session(
     SessionBuilder::new(alg, capacity, seed).query(pattern).build()
 }
 
+/// The configuration of [`single_query_session`] assembled by hand: the
+/// concrete sampler built directly and wrapped with `from_parts`.
+fn hand_built_session(
+    alg: Algorithm,
+    pattern: Pattern,
+    capacity: usize,
+    seed: u64,
+) -> StreamSession {
+    let wsd = |weight_fn| WsdSampler::new(pattern, capacity, weight_fn, TemporalPooling::Max, seed);
+    let sampler: Box<dyn EdgeSampler> = match alg {
+        Algorithm::WsdL => {
+            let neutral = LinearPolicy::neutral(pattern.num_edges() + 3);
+            Box::new(wsd(Box::new(neutral)).with_name("WSD-L"))
+        }
+        Algorithm::WsdH => Box::new(wsd(Box::new(HeuristicWeight))),
+        Algorithm::WsdUniform => Box::new(wsd(Box::new(UniformWeight)).with_name("WSD-U")),
+        Algorithm::GpsA => {
+            Box::new(GpsASampler::new(pattern, capacity, Box::new(HeuristicWeight), seed))
+        }
+        Algorithm::Gps => {
+            Box::new(GpsSampler::new(pattern, capacity, Box::new(HeuristicWeight), seed))
+        }
+        Algorithm::Triest => Box::new(TriestSampler::new(capacity, seed)),
+        Algorithm::ThinkD => Box::new(ThinkDSampler::new(capacity, seed)),
+        Algorithm::Wrs => Box::new(WrsSampler::new(capacity, seed)),
+    };
+    StreamSession::from_parts(sampler, &[pattern], MassKernel::build_default())
+}
+
 // ---------------------------------------------------------------------
-// 1. Single-query session ≡ legacy counter, per event.
+// 1. Single-query session ≡ hand-assembled session, per event.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -112,20 +146,22 @@ fn single_query_session_matches_legacy_counter_per_event() {
     for alg in DYNAMIC_ALGORITHMS {
         for pattern in PATTERNS {
             let capacity = 24;
-            let mut legacy = CounterConfig::new(pattern, capacity, 7).build(alg);
+            let mut legacy = hand_built_session(alg, pattern, capacity, 7);
+            let (legacy_q, _) = legacy.queries().next().unwrap();
             let mut session = single_query_session(alg, pattern, capacity, 7);
             let (qid, _) = session.queries().next().unwrap();
             for (i, &ev) in stream.iter().enumerate() {
                 legacy.process(ev);
                 session.process(ev);
                 assert_eq!(
-                    legacy.estimate().to_bits(),
+                    legacy.estimate(legacy_q).to_bits(),
                     session.estimate(qid).to_bits(),
                     "{} on {} diverged at event {i}",
                     alg.name(),
                     pattern.name()
                 );
                 assert_eq!(legacy.stored_edges(), session.stored_edges());
+                assert_eq!(legacy.name(), session.name());
             }
         }
     }
@@ -135,7 +171,8 @@ fn single_query_session_matches_legacy_counter_per_event() {
 fn single_query_session_batched_matches_legacy_sequential() {
     let stream = churn_stream();
     for alg in DYNAMIC_ALGORITHMS {
-        let mut legacy = CounterConfig::new(Pattern::Triangle, 20, 3).build(alg);
+        let mut legacy = hand_built_session(alg, Pattern::Triangle, 20, 3);
+        let (legacy_q, _) = legacy.queries().next().unwrap();
         for &ev in &stream {
             legacy.process(ev);
         }
@@ -145,7 +182,7 @@ fn single_query_session_batched_matches_legacy_sequential() {
             session.process_batch(batch);
         }
         assert_eq!(
-            legacy.estimate().to_bits(),
+            legacy.estimate(legacy_q).to_bits(),
             session.estimate(qid).to_bits(),
             "{} batched session diverged",
             alg.name()
@@ -154,17 +191,18 @@ fn single_query_session_batched_matches_legacy_sequential() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Multi-query sessions vs standalone counters.
+// 2. Multi-query sessions vs standalone single-query sessions.
 // ---------------------------------------------------------------------
 
 /// The weight-pattern query of a weighted multi-query session is
-/// bit-identical to the standalone counter: the sampler trajectory is a
+/// bit-identical to the standalone session: the sampler trajectory is a
 /// function of the weight pattern only.
 #[test]
 fn weight_query_of_multi_session_matches_standalone() {
     let stream = churn_stream();
     for alg in [Algorithm::WsdH, Algorithm::WsdL, Algorithm::GpsA] {
-        let mut standalone = CounterConfig::new(Pattern::Triangle, 24, 11).build(alg);
+        let mut standalone = single_query_session(alg, Pattern::Triangle, 24, 11);
+        let (standalone_q, _) = standalone.queries().next().unwrap();
         let mut session = SessionBuilder::new(alg, 24, 11)
             .query(Pattern::Wedge)
             .query(Pattern::Triangle)
@@ -176,7 +214,7 @@ fn weight_query_of_multi_session_matches_standalone() {
             standalone.process(ev);
             session.process(ev);
             assert_eq!(
-                standalone.estimate().to_bits(),
+                standalone.estimate(standalone_q).to_bits(),
                 session.estimate(tri).to_bits(),
                 "{} fused triangle query diverged at event {i}",
                 alg.name()
@@ -186,7 +224,7 @@ fn weight_query_of_multi_session_matches_standalone() {
 }
 
 /// For pattern-blind samplers every query of a 3-pattern session is
-/// bit-identical to its standalone counter with the same seed.
+/// bit-identical to its standalone session with the same seed.
 #[test]
 fn pattern_blind_session_queries_match_standalones() {
     let stream = churn_stream();
@@ -194,17 +232,18 @@ fn pattern_blind_session_queries_match_standalones() {
         let mut session = SessionBuilder::new(alg, 24, 13).queries(PATTERNS).build();
         let qids: Vec<_> = session.queries().map(|(id, _)| id).collect();
         let mut standalones: Vec<_> =
-            PATTERNS.iter().map(|&p| CounterConfig::new(p, 24, 13).build(alg)).collect();
+            PATTERNS.iter().map(|&p| single_query_session(alg, p, 24, 13)).collect();
         for (i, &ev) in stream.iter().enumerate() {
             session.process(ev);
             for (standalone, &qid) in standalones.iter_mut().zip(&qids) {
                 standalone.process(ev);
+                let (standalone_q, pattern) = standalone.queries().next().unwrap();
                 assert_eq!(
-                    standalone.estimate().to_bits(),
+                    standalone.estimate(standalone_q).to_bits(),
                     session.estimate(qid).to_bits(),
                     "{} {} query diverged at event {i}",
                     alg.name(),
-                    standalone.pattern().name()
+                    pattern.name()
                 );
             }
         }

@@ -1,7 +1,8 @@
 //! The weight-assignment MDP environment (paper §IV-A).
 //!
-//! The environment wraps a real [`WsdCounter`] (so training exercises
-//! exactly the code path used at inference) plus an [`ExactCounter`]
+//! The environment drives a real [`WsdSampler`] through a one-query
+//! [`StreamSession`] (so training exercises exactly the code path used
+//! at inference) plus an [`ExactCounter`]
 //! that supplies the ground truth behind the reward
 //! `r_k = ε(t_k) − ε(t_{k+1})` (Eq. 25), where `ε(t) = |c(t) − |J(t)||`
 //! (Eq. 24).
@@ -22,8 +23,8 @@
 use crate::ddpg::Ddpg;
 use crate::replay::Transition;
 use std::sync::{Arc, Mutex};
-use wsd_core::algorithms::WsdCounter;
-use wsd_core::{StateVector, SubgraphCounter, TemporalPooling, WeightFn};
+use wsd_core::algorithms::WsdSampler;
+use wsd_core::{MassKernel, QueryId, StateVector, StreamSession, TemporalPooling, WeightFn};
 use wsd_graph::{ExactCounter, Op, Pattern};
 use wsd_stream::EventStream;
 
@@ -71,7 +72,8 @@ impl WeightFn for ActorWeightFn {
 pub struct WsdEnv {
     stream: EventStream,
     pos: usize,
-    counter: WsdCounter,
+    session: StreamSession,
+    query: QueryId,
     exact: ExactCounter,
     bridge: Arc<Mutex<ActorBridge>>,
     pending: Option<(Vec<f64>, f64, f64)>,
@@ -91,11 +93,15 @@ impl WsdEnv {
         seed: u64,
     ) -> Self {
         let weight_fn = ActorWeightFn { bridge: bridge.clone() };
-        let counter = WsdCounter::new(pattern, capacity, Box::new(weight_fn), pooling, seed);
+        let sampler = WsdSampler::new(pattern, capacity, Box::new(weight_fn), pooling, seed);
+        let session =
+            StreamSession::from_parts(Box::new(sampler), &[pattern], MassKernel::build_default());
+        let (query, _) = session.queries().next().expect("one query attached");
         Self {
             stream,
             pos: 0,
-            counter,
+            session,
+            query,
             exact: ExactCounter::new(pattern),
             bridge,
             pending: None,
@@ -110,7 +116,7 @@ impl WsdEnv {
         while self.pos < self.stream.len() {
             let ev = self.stream[self.pos];
             self.pos += 1;
-            self.counter.process(ev);
+            self.session.process(ev);
             self.exact.apply(ev).expect("training streams must be feasible");
             if ev.op != Op::Insert {
                 continue;
@@ -121,9 +127,9 @@ impl WsdEnv {
                 .expect("actor bridge poisoned")
                 .last
                 .take()
-                .expect("WsdCounter must consult the weight function on every insertion");
+                .expect("WsdSampler must consult the weight function on every insertion");
             let truth = self.exact.count() as f64;
-            let eps = (self.counter.estimate() - truth).abs();
+            let eps = (self.session.estimate(self.query) - truth).abs();
             if self.first_eps.is_none() {
                 self.first_eps = Some(eps);
             }
@@ -216,7 +222,7 @@ mod tests {
 
     #[test]
     fn rewards_are_zero_when_sampler_is_exact() {
-        // Capacity ≥ stream: the counter is exact, ε ≡ 0 → rewards ≡ 0.
+        // Capacity ≥ stream: the session is exact, ε ≡ 0 → rewards ≡ 0.
         let b = bridge(6);
         let mut env = WsdEnv::new(
             tiny_stream(),

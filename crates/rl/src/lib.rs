@@ -11,12 +11,13 @@
 //!   is the paper's single linear layer with ReLU and `+1` offset, the
 //!   critic its 10-unit hidden-layer Q network.
 //! * [`mod@env`] — the weight-assignment MDP wrapped around a *real*
-//!   [`wsd_core::algorithms::WsdCounter`] and an exact counter for the
-//!   reward `r_k = ε(t_k) − ε(t_{k+1})`.
+//!   [`wsd_core::algorithms::WsdSampler`] (driven through a one-query
+//!   [`wsd_core::StreamSession`]) and an exact counter for the reward
+//!   `r_k = ε(t_k) − ε(t_{k+1})`.
 //! * [`trainer`] — the §V-A training protocol (10 streams per training
 //!   graph, 1000 iterations), producing a frozen
-//!   [`wsd_core::LinearPolicy`].
-//! * [`policy_io`] — versioned text persistence for trained policies.
+//!   [`wsd_core::LinearPolicy`], persisted as a checksummed `.wsdp`
+//!   [`wsd_core::PolicyArtifact`].
 //!
 //! # Example
 //!
@@ -43,7 +44,6 @@ pub mod ddpg;
 pub mod env;
 pub mod grid;
 pub mod nn;
-pub mod policy_io;
 pub mod replay;
 pub mod test_support;
 pub mod trainer;
@@ -51,6 +51,5 @@ pub mod trainer;
 pub use ddpg::{Ddpg, DdpgConfig};
 pub use env::RewardScale;
 pub use grid::{full_grid, train_cell, train_grid, CellReport, GridCell};
-pub use policy_io::{load_policy, save_policy};
 pub use replay::{ReplayBuffer, Transition};
 pub use trainer::{train, TrainReport, TrainerConfig};

@@ -10,7 +10,10 @@
 //! * `sess-<id:016x>.snap` — one per persisted session: a small header
 //!   (magic, format version, session id, event count at save time), the
 //!   length-prefixed canonical `SessionSnapshot` blob, and a trailing
-//!   FNV-1a checksum over everything before it.
+//!   FNV-1a checksum over everything before it (`wsd_core`'s sealed
+//!   byte trailer). The checksum guards against torn writes and bit rot;
+//!   it does not authenticate — the boot-time capacity gate is what
+//!   keeps a *forged* data-dir from hurting the server.
 //! * `*.quarantined` — files that failed validation at boot. They are
 //!   renamed aside, never deleted: a corrupt or forged blob must not
 //!   abort the boot, but it also must not silently vanish.
@@ -26,7 +29,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use wsd_core::{ByteReader, ByteWriter};
+use wsd_core::{ByteReader, ByteWriter, SealError};
 
 /// On-disk format version of both the manifest and the session files.
 pub const STORE_FORMAT_VERSION: u32 = 1;
@@ -119,10 +122,7 @@ impl SessionStore {
         w.put_u64(events);
         w.put_len(blob.len());
         w.put_bytes(blob);
-        let mut bytes = w.into_bytes();
-        let sum = fnv1a64(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        write_file_atomic(&self.dir, &session_file_name(session), &bytes)
+        write_file_atomic(&self.dir, &session_file_name(session), &w.into_sealed_bytes())
     }
 
     /// Removes a session's persisted snapshot (e.g. on `Close`). Absent
@@ -191,15 +191,10 @@ fn session_file_name(session: u64) -> String {
 fn read_session_file(path: &Path, name: &str) -> io::Result<PersistedSession> {
     let bytes = fs::read(path)?;
     let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    if bytes.len() < 8 {
-        return Err(invalid("session file too short for a checksum"));
-    }
-    let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let declared = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    if fnv1a64(payload) != declared {
-        return Err(invalid("session file checksum mismatch"));
-    }
-    let mut r = ByteReader::new(payload);
+    let mut r = ByteReader::unseal(&bytes).map_err(|e| match e {
+        SealError::TooShort => invalid("session file too short for a checksum"),
+        SealError::Mismatch { .. } => invalid("session file checksum mismatch"),
+    })?;
     if r.take(8).map_err(|_| invalid("truncated magic"))? != SESSION_MAGIC {
         return Err(invalid("bad session file magic"));
     }
@@ -224,10 +219,7 @@ fn encode_manifest(watermark: u64) -> Vec<u8> {
     w.put_bytes(MANIFEST_MAGIC);
     w.put_u32(STORE_FORMAT_VERSION);
     w.put_u64(watermark);
-    let mut bytes = w.into_bytes();
-    let sum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    bytes
+    w.into_sealed_bytes()
 }
 
 /// `Ok(None)` when the manifest does not exist yet; `Err` when it
@@ -239,15 +231,10 @@ fn read_manifest(path: &Path) -> io::Result<Option<u64>> {
         Err(e) => return Err(e),
     };
     let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
-    if bytes.len() < 8 {
-        return Err(invalid("manifest too short"));
-    }
-    let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let declared = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    if fnv1a64(payload) != declared {
-        return Err(invalid("manifest checksum mismatch"));
-    }
-    let mut r = ByteReader::new(payload);
+    let mut r = ByteReader::unseal(&bytes).map_err(|e| match e {
+        SealError::TooShort => invalid("manifest too short"),
+        SealError::Mismatch { .. } => invalid("manifest checksum mismatch"),
+    })?;
     if r.take(8).map_err(|_| invalid("truncated magic"))? != MANIFEST_MAGIC {
         return Err(invalid("bad manifest magic"));
     }
@@ -275,19 +262,6 @@ fn write_file_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
         let _ = d.sync_all();
     }
     Ok(())
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free corruption detection. This is
-/// an integrity check against torn writes and bit rot, not an
-/// authentication mechanism — the boot-time capacity gate is what keeps
-/// a *forged* data-dir from hurting the server.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

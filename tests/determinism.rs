@@ -2,7 +2,6 @@
 //! deterministic given its seeds — generators, scenarios, samplers and
 //! training.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use wsd::prelude::*;
 use wsd::stream::dataset;
 
@@ -23,9 +22,9 @@ fn counters_are_deterministic_given_seed() {
         Algorithm::Wrs,
     ] {
         let run = |seed: u64| {
-            let mut c = CounterConfig::new(Pattern::Triangle, 150, seed).build(alg);
+            let mut c = SessionBuilder::new(alg, 150, seed).query(Pattern::Triangle).build();
             c.process_all(&stream);
-            c.estimate()
+            c.report().queries[0].estimate
         };
         assert_eq!(run(7), run(7), "{:?} must be deterministic", alg);
         // Different sampling seeds should (overwhelmingly) differ for

@@ -1,7 +1,6 @@
 //! End-to-end pipeline tests through the umbrella `wsd` crate: dataset
 //! registry → scenario → every algorithm → sane estimates.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use wsd::prelude::*;
 use wsd::stream::dataset;
 
@@ -31,9 +30,11 @@ fn every_algorithm_tracks_the_truth_under_light_deletion() {
         let reps = 8;
         let mean: f64 = (0..reps)
             .map(|s| {
-                let mut c = CounterConfig::new(Pattern::Triangle, budget, 100 + s).build(alg);
+                let mut c =
+                    SessionBuilder::new(alg, budget, 100 + s).query(Pattern::Triangle).build();
+                let (q, _) = c.queries().next().unwrap();
                 c.process_all(&events);
-                c.estimate()
+                c.estimate(q)
             })
             .sum::<f64>()
             / reps as f64;
@@ -52,9 +53,10 @@ fn every_algorithm_survives_massive_deletion() {
     let (events, _) = small_workload(Scenario::Massive { alpha: 3e-4, beta_m: 0.8 });
     let budget = events.len() / 10;
     for alg in Algorithm::paper_table_set() {
-        let mut c = CounterConfig::new(Pattern::Triangle, budget, 5).build(alg);
+        let mut c = SessionBuilder::new(alg, budget, 5).query(Pattern::Triangle).build();
+        let (q, _) = c.queries().next().unwrap();
         c.process_all(&events);
-        assert!(c.estimate().is_finite(), "{:?} produced a non-finite estimate", alg);
+        assert!(c.estimate(q).is_finite(), "{:?} produced a non-finite estimate", alg);
         assert!(c.stored_edges() <= budget + 1, "{:?} exceeded its budget", alg);
     }
 }
@@ -64,16 +66,18 @@ fn patterns_other_than_triangles_work_end_to_end() {
     let (events, _) = small_workload(Scenario::default_light());
     for pattern in [Pattern::Wedge, Pattern::FourClique, Pattern::Clique(5)] {
         let truth = TruthTimeline::compute(pattern, &events).final_count() as f64;
-        let mut c = CounterConfig::new(pattern, events.len() / 5, 9).build(Algorithm::WsdH);
+        let mut c =
+            SessionBuilder::new(Algorithm::WsdH, events.len() / 5, 9).query(pattern).build();
+        let (q, _) = c.queries().next().unwrap();
         c.process_all(&events);
-        assert!(c.estimate().is_finite(), "{}", pattern.name());
+        assert!(c.estimate(q).is_finite(), "{}", pattern.name());
         // Accuracy is only a fair ask where the count is large relative
         // to the pattern's sampling variance (a 5-clique instance needs
         // 9 sampled partners — single-run relative error on a count of a
         // few hundred is legitimately large).
         let variance_is_tame = truth > 1_000.0 && pattern.num_edges() <= 6;
         if variance_is_tame {
-            let are = (c.estimate() - truth).abs() / truth;
+            let are = (c.estimate(q) - truth).abs() / truth;
             assert!(are < 1.5, "{}: ARE {are:.2} vs truth {truth}", pattern.name());
         }
     }
@@ -95,13 +99,14 @@ fn estimates_return_to_zero_when_everything_is_deleted() {
         Algorithm::ThinkD,
         Algorithm::Wrs,
     ] {
-        let mut c = CounterConfig::new(Pattern::Triangle, events.len() + 10, 4).build(alg);
+        let mut c = SessionBuilder::new(alg, events.len() + 10, 4).query(Pattern::Triangle).build();
+        let (q, _) = c.queries().next().unwrap();
         c.process_all(&events);
         assert!(
-            c.estimate().abs() < 1e-6,
+            c.estimate(q).abs() < 1e-6,
             "{:?}: expected 0 after deleting everything, got {}",
             alg,
-            c.estimate()
+            c.estimate(q)
         );
     }
 }

@@ -2,7 +2,6 @@
 //! → deploy, and the headline sanity check that learned weights do not
 //! underperform the heuristic on the training distribution.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use wsd::prelude::*;
 
 fn category_graph(vertices: u64, seed: u64) -> Vec<Edge> {
@@ -19,17 +18,26 @@ fn policy_roundtrips_through_disk_and_counter() {
     let report = train(&edges, Scenario::default_light(), &cfg);
     let dir = std::env::temp_dir().join("wsd-int-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("roundtrip.policy");
-    save_policy(&path, &report.policy).unwrap();
-    let loaded = load_policy(&path).unwrap();
+    let path = dir.join("roundtrip.wsdp");
+    let meta = PolicyMeta {
+        pattern: Pattern::Triangle,
+        scenario: "hk-light".into(),
+        capacity: cfg.capacity as u64,
+        train_seed: cfg.seed,
+        iterations: cfg.iterations as u64,
+    };
+    PolicyArtifact { meta, policy: report.policy.clone() }.save(&path).unwrap();
+    let loaded = PolicyArtifact::load(&path).unwrap().policy;
     assert_eq!(loaded, report.policy);
-    // Both policies drive identical counters.
+    // Both policies drive identical sessions.
     let events = Scenario::default_light().apply(&category_graph(800, 2), 3);
     let run = |p: LinearPolicy| {
-        let mut c =
-            CounterConfig::new(Pattern::Triangle, 200, 11).with_policy(p).build(Algorithm::WsdL);
+        let mut c = SessionBuilder::new(Algorithm::WsdL, 200, 11)
+            .query(Pattern::Triangle)
+            .with_policy(p)
+            .build();
         c.process_all(&events);
-        c.estimate()
+        c.report().queries[0].estimate
     };
     assert_eq!(run(report.policy), run(loaded));
 }
@@ -56,13 +64,13 @@ fn learned_policy_is_not_worse_than_heuristic() {
     let mean_are = |alg: Algorithm, policy: Option<&LinearPolicy>| {
         (0..reps)
             .map(|s| {
-                let mut c = CounterConfig::new(Pattern::Triangle, budget, 500 + s);
+                let mut c = SessionBuilder::new(alg, budget, 500 + s).query(Pattern::Triangle);
                 if let Some(p) = policy {
                     c = c.with_policy(p.clone());
                 }
-                let mut counter = c.build(alg);
-                counter.process_all(&events);
-                (counter.estimate() - truth).abs() / truth
+                let mut session = c.build();
+                session.process_all(&events);
+                (session.report().queries[0].estimate - truth).abs() / truth
             })
             .sum::<f64>()
             / reps as f64
@@ -77,10 +85,11 @@ fn pooling_ablation_variants_both_work() {
     let edges = category_graph(400, 30);
     let events = Scenario::default_light().apply(&edges, 31);
     for pooling in [TemporalPooling::Max, TemporalPooling::Avg] {
-        let mut c = CounterConfig::new(Pattern::Triangle, 150, 1)
+        let mut c = SessionBuilder::new(Algorithm::WsdL, 150, 1)
+            .query(Pattern::Triangle)
             .with_pooling(pooling)
-            .build(Algorithm::WsdL);
+            .build();
         c.process_all(&events);
-        assert!(c.estimate().is_finite());
+        assert!(c.report().queries[0].estimate.is_finite());
     }
 }

@@ -2,7 +2,6 @@
 //! feasible streams through the public API must keep every algorithm's
 //! invariants intact.
 
-#![allow(deprecated)] // CounterConfig::build: the legacy single-query shim is pinned deliberately
 use proptest::prelude::*;
 use wsd::prelude::*;
 
@@ -44,10 +43,11 @@ proptest! {
             Algorithm::ThinkD,
             Algorithm::Wrs,
         ] {
-            let mut c = CounterConfig::new(Pattern::Triangle, budget, 3).build(alg);
+            let mut c = SessionBuilder::new(alg, budget, 3).query(Pattern::Triangle).build();
+            let (q, _) = c.queries().next().unwrap();
             for &ev in &stream {
                 c.process(ev);
-                prop_assert!(c.estimate().is_finite(), "{:?} estimate diverged", alg);
+                prop_assert!(c.estimate(q).is_finite(), "{:?} estimate diverged", alg);
                 prop_assert!(
                     c.stored_edges() <= budget,
                     "{:?} exceeded budget: {} > {budget}",
@@ -75,13 +75,14 @@ proptest! {
             Algorithm::ThinkD,
             Algorithm::Wrs,
         ] {
-            let mut c = CounterConfig::new(Pattern::Triangle, 1_000, 5).build(alg);
+            let mut c = SessionBuilder::new(alg, 1_000, 5).query(Pattern::Triangle).build();
+            let (q, _) = c.queries().next().unwrap();
             c.process_all(&stream);
             prop_assert!(
-                (c.estimate() - truth).abs() < 1e-6,
+                (c.estimate(q) - truth).abs() < 1e-6,
                 "{:?}: {} vs exact {truth}",
                 alg,
-                c.estimate()
+                c.estimate(q)
             );
         }
     }
